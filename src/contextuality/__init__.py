@@ -2,13 +2,14 @@
 
 Two system layouts are supported: Bell-type (two parties, two binary settings
 each, four observed pair distributions) and temporal Leggett-Garg-type (three
-time points, three observed pair distributions). Everything is computed in
+time points, three observed pair distributions), the cyclic systems of rank
+4 and 3 whose closed forms ``cyclic`` writes once. Everything is computed in
 exact rational arithmetic; each closed-form quantity has an independent LP
 oracle over the full joint-distribution polytope and, for the mismatch
 interval, a third Fourier-Motzkin projection route.
 """
 
-from . import bell, fme, generators, lg, oracle, ratlp, verify
+from . import bell, cyclic, fme, generators, lg, oracle, ratlp, verify
 from .core import (
     BellSystem,
     CausalityViolationError,
@@ -35,6 +36,7 @@ __all__ = [
     "Violation",
     "as_fraction",
     "bell",
+    "cyclic",
     "fme",
     "generators",
     "lg",

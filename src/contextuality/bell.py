@@ -1,144 +1,37 @@
-"""Closed-form contextuality analysis of Bell-type systems.
+"""Closed-form contextuality analysis of Bell-type systems: the rank-4 cycle.
 
-Vocabulary: a *connection* is a pair of variables representing the same
-measurement under two different conditions, e.g. (A_11, A_12); its joint
-distribution is never observed. ``delta`` is the total probability mass of
-connection mismatches, Pr[A_11 != A_12] + Pr[A_21 != A_22] + Pr[B_11 != B_21]
-+ Pr[B_12 != B_22]. ``delta0`` is the smallest such total the observed
-marginals allow; a system is contextual when every joint distribution needs
-strictly more mismatch than that.
+Canonical connection order: (A_11, A_12), (A_21, A_22), (B_11, B_21),
+(B_12, B_22). The formulas live in ``cyclic``; this module gives them their
+Bell-type names. ``chsh_statistic`` is the odd-parity signed-sum maximum of
+the four products, max over settings (i,j) of |sum of the four products -
+2<A_ij B_ij>|.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from operator import itemgetter
 
+from . import cyclic
 from .core import BellSystem
+from .cyclic import (  # noqa: F401  (re-exported public names)
+    analyze,
+    classic_checks,
+    connection_marginal_pairs,
+    degree,
+    delta0,
+    delta_interval,
+    is_noncontextual,
+)
 
-_HALF = Fraction(1, 2)
-
-def connection_marginal_pairs(sys: BellSystem) -> tuple[tuple[Fraction, Fraction], ...]:
-    """The two observed marginals coupled by each connection.
-
-    Canonical connection order: (A_11, A_12), (A_21, A_22), (B_11, B_21),
-    (B_12, B_22).
-    """
-    return (
-        (sys.a_mean(1, 1), sys.a_mean(1, 2)),
-        (sys.a_mean(2, 1), sys.a_mean(2, 2)),
-        (sys.b_mean(1, 1), sys.b_mean(2, 1)),
-        (sys.b_mean(1, 2), sys.b_mean(2, 2)),
-    )
+BellReport = cyclic.Report
+chsh_statistic = cyclic.statistic
 
 
-@dataclass(frozen=True)
-class BellConnectionVector:
+class BellConnectionVector(cyclic.ConnectionVector):
     """Per-connection mismatch probabilities Pr[X != X'] in canonical order."""
 
-    c_a1: Fraction
-    c_a2: Fraction
-    c_b1: Fraction
-    c_b2: Fraction
-
-    def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.c_a1, self.c_a2, self.c_b1, self.c_b2)
-
-    def total(self) -> Fraction:
-        return sum(self.components(), Fraction(0))
+    c_a1, c_a2, c_b1, c_b2 = (property(itemgetter(k)) for k in range(4))
 
 
 def minimal_connections(sys: BellSystem) -> BellConnectionVector:
-    """Smallest mismatch probability each connection's marginals allow.
-
-    For a connection (X, X') this is |Pr[X=1] - Pr[X'=1]| = |<X> - <X'>| / 2,
-    attained by stacking as much mass as possible on the diagonal.
-    """
-    return BellConnectionVector(
-        *(abs(m1 - m2) * _HALF for m1, m2 in connection_marginal_pairs(sys))
-    )
-
-
-def delta0(sys: BellSystem) -> Fraction:
-    """Total connection mismatch forced by the marginals alone."""
-    return minimal_connections(sys).total()
-
-
-def chsh_statistic(sys: BellSystem) -> Fraction:
-    """max over settings (i,j) of |sum of the four products - 2<A_ij B_ij>|.
-
-    Equals the odd-parity signed-sum maximum of the four product expectations.
-    """
-    prods = sys.product_means()
-    total = sum(prods, Fraction(0))
-    return max(abs(total - 2 * p) for p in prods)
-
-
-def is_noncontextual(sys: BellSystem) -> bool:
-    """Signaling-adjusted criterion: statistic <= 2 (1 + delta0)."""
-    return chsh_statistic(sys) <= 2 * (1 + delta0(sys))
-
-
-def degree(sys: BellSystem) -> Fraction:
-    """Degree of contextuality: max(0, statistic/2 - 1 - delta0).
-
-    Equals max(0, delta_min - delta0): the mismatch mass any joint
-    distribution needs beyond what signaling already forces.
-    """
-    return max(Fraction(0), chsh_statistic(sys) * _HALF - 1 - delta0(sys))
-
-
-def delta_interval(sys: BellSystem) -> tuple[Fraction, Fraction]:
-    """Exact range of total connection mismatch over all compatible joints.
-
-    Lower bound: max(delta0, statistic/2 - 1). Upper bound:
-    min(5 - statistic/2, 4 - half the sum of |<X> + <X'>| over connections).
-    """
-    stat_half = chsh_statistic(sys) * _HALF
-    lo = max(delta0(sys), stat_half - 1)
-    marginal_sums = sum(
-        (abs(m1 + m2) for m1, m2 in connection_marginal_pairs(sys)), Fraction(0)
-    )
-    hi = min(5 - stat_half, 4 - marginal_sums * _HALF)
-    return (lo, hi)
-
-
-def classic_checks(sys: BellSystem) -> tuple[bool, bool]:
-    """(no-signaling holds, classic CHSH bound statistic <= 2 holds).
-
-    The two verdicts are logically independent; the signaling-adjusted
-    criterion reduces to their conjunction exactly when no-signaling holds.
-    """
-    no_signaling = all(m1 == m2 for m1, m2 in connection_marginal_pairs(sys))
-    return (no_signaling, chsh_statistic(sys) <= 2)
-
-
-@dataclass(frozen=True)
-class BellReport:
-    """Full closed-form verdict for one Bell-type system."""
-
-    delta0: Fraction
-    statistic: Fraction
-    delta_min: Fraction
-    delta_max: Fraction
-    degree: Fraction
-    noncontextual: bool
-    signaling: bool
-    classic_satisfied: bool
-
-
-def analyze(sys: BellSystem) -> BellReport:
-    d0 = delta0(sys)
-    stat = chsh_statistic(sys)
-    lo, hi = delta_interval(sys)
-    no_signaling, classic = classic_checks(sys)
-    return BellReport(
-        delta0=d0,
-        statistic=stat,
-        delta_min=lo,
-        delta_max=hi,
-        degree=max(Fraction(0), stat * _HALF - 1 - d0),
-        noncontextual=stat <= 2 * (1 + d0),
-        signaling=not no_signaling,
-        classic_satisfied=classic,
-    )
+    return BellConnectionVector(cyclic.minimal_connections(sys))

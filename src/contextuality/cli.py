@@ -17,15 +17,15 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
-from . import bell, fme, lg, oracle
+from . import bell, cyclic, fme, oracle
 from .core import (
-    BellSystem,
+    KINDS,
     CausalityViolationError,
     FrechetViolationError,
-    LGSystem,
     PairDistribution,
+    System,
     as_fraction,
     validate,
 )
@@ -36,7 +36,11 @@ EXIT_NONCONTEXTUAL = 0
 EXIT_CONTEXTUAL = 1
 EXIT_INPUT_ERROR = 2
 
-_PAIR_KEYS = {"bell": ("11", "12", "21", "22"), "lg": ("12", "13", "23")}
+# Largest sweep grid, per range and in total: each point costs an exact
+# analysis (and an LP with --oracle), so an unbounded grid runs unbounded.
+MAX_GRID_POINTS = 10_000
+
+_PAIR_KEYS = {kind: tuple(f"{i}{j}" for i, j in cls.PAIRS) for kind, cls in KINDS.items()}
 _CELL_FIELDS = ("pp", "pm", "mp", "mm")
 _EXPECTATION_FIELDS = ("x", "y", "xy")
 
@@ -50,7 +54,7 @@ class DocumentError(ValueError):
         self.field = field
 
 
-def parse_system_document(data: object) -> Union[BellSystem, LGSystem]:
+def parse_system_document(data: object) -> System:
     """Build a system from a parsed JSON document.
 
     Expected shape: {"kind": "bell"|"lg", "representation": "cells"|
@@ -102,12 +106,10 @@ def parse_system_document(data: object) -> Union[BellSystem, LGSystem]:
                 built[key] = PairDistribution.from_expectations(*values)
             except FrechetViolationError as exc:
                 raise DocumentError(f"pair {key!r}: {exc}", pair=key) from exc
-    if kind == "bell":
-        return BellSystem(built["11"], built["12"], built["21"], built["22"])
-    return LGSystem(built["12"], built["13"], built["23"])
+    return KINDS[kind](*(built[key] for key in _PAIR_KEYS[kind]))
 
 
-def load_system(path: str) -> Union[BellSystem, LGSystem]:
+def load_system(path: str) -> System:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -128,51 +130,13 @@ def _fmt(value: Fraction, decimals: Optional[int]) -> str:
     return f"{sign}{digits[:-decimals]}.{digits[-decimals:]}"
 
 
-def _bell_slacks(report: bell.BellReport, sys_: BellSystem) -> dict[str, Fraction]:
-    half_stat = report.statistic / 2
-    marg = bell.connection_marginal_pairs(sys_)
-    sums = sum((abs(m1 + m2) for m1, m2 in marg), Fraction(0))
-    return {
-        "criterion": 2 * (1 + report.delta0) - report.statistic,
-        "classic_inequality": 2 - report.statistic,
-        "lower_from_statistic": half_stat - 1,
-        "lower_from_signaling": report.delta0,
-        "upper_from_statistic": 5 - half_stat,
-        "upper_from_marginals": 4 - sums / 2,
-    }
-
-
-def _lg_slacks(report: lg.LGReport, sys_: LGSystem) -> dict[str, Fraction]:
-    from .core import _max_signed_sum
-
-    prods = sys_.product_means()
-    total = sum(prods, Fraction(0))
-    marg = lg.connection_marginal_pairs(sys_)
-    diffs = sum((abs(m1 - m2) for m1, m2 in marg), Fraction(0))
-    sums = sum((abs(m1 + m2) for m1, m2 in marg), Fraction(0))
-    return {
-        "criterion": 1 + 2 * report.delta0 - report.statistic,
-        # two-sided bound: report the smaller of the two slacks
-        "classic_inequality": min(1 + 2 * min(prods) - total, total + 1),
-        "lower_from_statistic": report.statistic / 2 - Fraction(1, 2),
-        "lower_from_signaling": diffs / 2,
-        "upper_from_statistic": Fraction(7, 2) - _max_signed_sum(prods, 0) / 2,
-        "upper_from_marginals": 3 - sums / 2,
-    }
-
-
 def _analysis_payload(system, causal: bool, with_oracle: bool, decimals):
-    if isinstance(system, BellSystem):
-        report = bell.analyze(system)
-        kind = "bell"
-        slacks = _bell_slacks(report, system)
-    else:
-        report = lg.analyze(system, causal=causal)
-        kind = "lg"
-        slacks = _lg_slacks(report, system)
+    if causal:
+        cyclic.check_causal(system)
+    report = cyclic.analyze(system)
     fmt = lambda v: _fmt(v, decimals)
     payload = {
-        "kind": kind,
+        "kind": system.KIND,
         "provenance": "closed-form",
         "values": {
             "delta0": fmt(report.delta0),
@@ -186,9 +150,9 @@ def _analysis_payload(system, causal: bool, with_oracle: bool, decimals):
             "signaling": report.signaling,
             "classic_inequality_satisfied": report.classic_satisfied,
         },
-        "slacks": {name: fmt(v) for name, v in slacks.items()},
+        "slacks": {name: fmt(v) for name, v in cyclic.slacks(system).items()},
     }
-    if kind == "lg":
+    if system.CAUSAL:
         payload["causal"] = causal
     if with_oracle:
         lo, hi = oracle.delta_extrema(system)
@@ -259,12 +223,12 @@ def _parse_range(text: str) -> list[Fraction]:
         return [start]
     if step <= 0:
         raise ValueError(f"range step must be positive, got {step}")
-    values = []
-    v = start
-    while v <= stop:
-        values.append(v)
-        v += step
-    return values
+    count = (stop - start) // step + 1 if stop >= start else 0
+    if count > MAX_GRID_POINTS:
+        raise ValueError(
+            f"range {text!r} has {count} points; at most {MAX_GRID_POINTS} are allowed"
+        )
+    return [start + k * step for k in range(count)]
 
 
 def cmd_sweep(args) -> int:
@@ -275,6 +239,11 @@ def cmd_sweep(args) -> int:
         epsilons = _parse_range(args.epsilon)
     except (ValueError, ZeroDivisionError) as exc:
         return _input_error(str(exc))
+    if len(deltas) * len(epsilons) > MAX_GRID_POINTS:
+        return _input_error(
+            f"grid has {len(deltas) * len(epsilons)} points; "
+            f"at most {MAX_GRID_POINTS} are allowed"
+        )
     header = ["delta", "epsilon", "delta0", "chsh_stat", "degree_closed"]
     if args.oracle:
         header.append("degree_oracle")
@@ -349,9 +318,8 @@ def cmd_derive(args) -> int:
             print(f"error: pair {v.pair}: {v.description}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     projected = fme.project_to_delta(system)
-    lo, hi = fme.derive_delta_bounds(system)
-    kind = "bell" if isinstance(system, BellSystem) else "lg"
-    print(f"projected mismatch constraints ({kind}):")
+    lo, hi = fme._interval(projected)
+    print(f"projected mismatch constraints ({system.KIND}):")
     print(projected.format())
     print(f"interval: [{lo}, {hi}]")
     return 0
@@ -398,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="cross-check closed forms against the LP oracle")
     p_verify.add_argument("--samples", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--kind", choices=("bell", "lg", "both"), default="both")
+    p_verify.add_argument("--kind", choices=(*KINDS, "both"), default="both")
     p_verify.add_argument("--no-fme", action="store_true",
                           help="skip the projection route (faster)")
     p_verify.add_argument("--self-test-fault", action="store_true",

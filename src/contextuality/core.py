@@ -183,12 +183,50 @@ class PairDistribution:
 # Observed systems
 # ----------------------------------------------------------------------------
 
+class _Cycle:
+    """Behaviour shared by the observed layouts, each a cycle declared as data.
+
+    A layout declares ``KIND`` (its document name), ``PAIRS`` (the condition
+    of each observed pair, in field order) and ``CONNECTIONS``: per
+    connection, its two ends as (pair index, side), side 0 being the pair's
+    first outcome and side 1 its second, in canonical connection order.
+    ``CAUSAL`` lists the connections whose marginals a time-ordered reading
+    forces equal.
+    """
+
+    KIND: ClassVar[str]
+    PAIRS: ClassVar[tuple[tuple[int, int], ...]]
+    CONNECTIONS: ClassVar[tuple[tuple[tuple[int, int], tuple[int, int]], ...]]
+    CAUSAL: ClassVar[tuple[int, ...]] = ()
+
+    @classmethod
+    def from_pairs(cls, pairs: Mapping[tuple[int, int], PairDistribution]):
+        return cls(*(pairs[key] for key in cls.PAIRS))
+
+    def pair(self, i: int, j: int) -> PairDistribution:
+        return getattr(self, f"p{i}{j}")
+
+    def pairs(self) -> tuple[PairDistribution, ...]:
+        """The observed pair distributions in ``PAIRS`` order."""
+        return tuple(self.pair(*key) for key in self.PAIRS)
+
+    def mean(self, end: tuple[int, int]) -> Fraction:
+        """Marginal expectation of one connection end (pair index, side)."""
+        pair = self.pair(*self.PAIRS[end[0]])
+        return pair.y_mean if end[1] else pair.x_mean
+
+    def product_means(self) -> tuple[Fraction, ...]:
+        """The product expectation of each observed pair, in ``PAIRS`` order."""
+        return tuple(pair.xy_mean for pair in self.pairs())
+
+
 @dataclass(frozen=True)
-class BellSystem:
+class BellSystem(_Cycle):
     """Four observed pair distributions, one per joint setting (i, j) in {1,2}^2.
 
     ``pij`` holds the distribution of (A_ij, B_ij): the first party's outcome
     under setting i paired with the second party's outcome under setting j.
+    Connections: (A_11, A_12), (A_21, A_22), (B_11, B_21), (B_12, B_22).
     """
 
     p11: PairDistribution
@@ -196,63 +234,39 @@ class BellSystem:
     p21: PairDistribution
     p22: PairDistribution
 
-    SETTINGS: ClassVar[tuple[tuple[int, int], ...]] = ((1, 1), (1, 2), (2, 1), (2, 2))
-
-    @classmethod
-    def from_pairs(
-        cls, pairs: Mapping[tuple[int, int], PairDistribution]
-    ) -> "BellSystem":
-        return cls(*(pairs[s] for s in cls.SETTINGS))
-
-    def pair(self, i: int, j: int) -> PairDistribution:
-        return getattr(self, f"p{i}{j}")
-
-    def a_mean(self, i: int, j: int) -> Fraction:
-        """<A_ij>: the first party's marginal under condition (i, j)."""
-        return self.pair(i, j).x_mean
-
-    def b_mean(self, i: int, j: int) -> Fraction:
-        """<B_ij>: the second party's marginal under condition (i, j)."""
-        return self.pair(i, j).y_mean
-
-    def product_means(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """(<A_11 B_11>, <A_12 B_12>, <A_21 B_21>, <A_22 B_22>)."""
-        return tuple(self.pair(i, j).xy_mean for i, j in self.SETTINGS)
+    KIND: ClassVar[str] = "bell"
+    PAIRS: ClassVar[tuple[tuple[int, int], ...]] = ((1, 1), (1, 2), (2, 1), (2, 2))
+    CONNECTIONS: ClassVar = (
+        ((0, 0), (1, 0)),
+        ((2, 0), (3, 0)),
+        ((0, 1), (2, 1)),
+        ((1, 1), (3, 1)),
+    )
 
 
 @dataclass(frozen=True)
-class LGSystem:
+class LGSystem(_Cycle):
     """Three observed pair distributions for time pairs (1,2), (1,3), (2,3).
 
     ``pij`` with i < j holds the distribution of (Q_ij, Q_ji): Q_ij is the
     outcome recorded at time i when the condition pairs times i and j.
+    Connections: (Q_12, Q_13), (Q_21, Q_23), (Q_31, Q_32); the first one
+    couples the earliest time, which a later measurement cannot disturb.
     """
 
     p12: PairDistribution
     p13: PairDistribution
     p23: PairDistribution
 
-    TIME_PAIRS: ClassVar[tuple[tuple[int, int], ...]] = ((1, 2), (1, 3), (2, 3))
-
-    @classmethod
-    def from_pairs(cls, pairs: Mapping[tuple[int, int], PairDistribution]) -> "LGSystem":
-        return cls(*(pairs[t] for t in cls.TIME_PAIRS))
-
-    def pair(self, i: int, j: int) -> PairDistribution:
-        return getattr(self, f"p{i}{j}")
-
-    def q_mean(self, i: int, j: int) -> Fraction:
-        """<Q_ij>: the marginal of the outcome at time i in condition {i, j}."""
-        if i < j:
-            return self.pair(i, j).x_mean
-        return self.pair(j, i).y_mean
-
-    def product_means(self) -> tuple[Fraction, Fraction, Fraction]:
-        """(<Q_12 Q_21>, <Q_13 Q_31>, <Q_23 Q_32>)."""
-        return (self.p12.xy_mean, self.p13.xy_mean, self.p23.xy_mean)
+    KIND: ClassVar[str] = "lg"
+    PAIRS: ClassVar[tuple[tuple[int, int], ...]] = ((1, 2), (1, 3), (2, 3))
+    CONNECTIONS: ClassVar = (((0, 0), (1, 0)), ((0, 1), (2, 0)), ((1, 1), (2, 1)))
+    CAUSAL: ClassVar[tuple[int, ...]] = (0,)
 
 
 System = Union[BellSystem, LGSystem]
+
+KINDS: dict[str, type] = {cls.KIND: cls for cls in (BellSystem, LGSystem)}
 
 
 def validate(system: System) -> list[Violation]:
@@ -260,13 +274,9 @@ def validate(system: System) -> list[Violation]:
 
     Never raises: an invalid system is reported, not rejected.
     """
-    found: list[Violation] = []
-    if isinstance(system, BellSystem):
-        for i, j in system.SETTINGS:
-            found.extend(system.pair(i, j).violations(f"({i},{j})"))
-    elif isinstance(system, LGSystem):
-        for i, j in system.TIME_PAIRS:
-            found.extend(system.pair(i, j).violations(f"({i},{j})"))
-    else:
+    if not isinstance(system, _Cycle):
         raise TypeError(f"expected BellSystem or LGSystem, got {type(system).__name__}")
+    found: list[Violation] = []
+    for (i, j), pair in zip(system.PAIRS, system.pairs()):
+        found.extend(pair.violations(f"({i},{j})"))
     return found

@@ -13,17 +13,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import Sequence
 
-from . import bell as bell_analysis
-from . import lg as lg_analysis
-from .core import (
-    BellSystem,
-    LGSystem,
-    _max_signed_sum,
-    as_fraction,
-    max_signed_sum_odd,
-)
+from . import cyclic
+from .core import System, _max_signed_sum, as_fraction, max_signed_sum_odd
 from .ratlp import LinearProgram, solve
 
 _ZERO = Fraction(0)
@@ -269,35 +262,28 @@ def _box_rows(marginal_pairs, n_conn: int, n_extra: int) -> list[Row]:
     return rows
 
 
-def _instantiated_system(sys: Union[BellSystem, LGSystem]) -> tuple[InequalitySystem, tuple[str, ...]]:
+def _instantiated_system(sys: System) -> tuple[InequalitySystem, tuple[str, ...]]:
     """The compatibility constraints of a concrete system, with the connection
     expectations symbolic and the mismatch variable tied to their sum."""
     prods = sys.product_means()
     s_even = _max_signed_sum(prods, 0)
     s_odd = max_signed_sum_odd(prods)
-    if isinstance(sys, BellSystem):
-        conn_vars = ("t_a1", "t_a2", "t_b1", "t_b2")
-        marg = bell_analysis.connection_marginal_pairs(sys)
-        # two parity-split conditions: even products part with odd tau part
-        # bounded by 6, and vice versa
-        rows = _parity_rows(4, 6 - s_odd, 6 - s_even, 1)
-        total = Fraction(2)
-    else:
-        conn_vars = ("t_1", "t_2", "t_3")
-        marg = lg_analysis.connection_marginal_pairs(sys)
-        # single six-argument condition <= 4: a tau pattern of parity k needs
-        # the complementary parity on the products part
-        rows = _parity_rows(3, 4 - s_odd, 4 - s_even, 1)
-        total = Fraction(3, 2)
-    rows.extend(_box_rows(marg, len(conn_vars), 1))
-    # mismatch = total - (sum of connection expectations)/2
-    eq = tuple([_HALF] * len(conn_vars) + [Fraction(1)])
-    rows.append((eq, "==", total))
+    marg = cyclic.connection_marginal_pairs(sys)
+    n = len(marg)
+    conn_vars = tuple(f"t_{k}" for k in range(1, n + 1))
+    # one odd-parity condition over products and connection terms, bounded by
+    # 2n - 2: a tau pattern of parity k needs the complementary parity on the
+    # products part
+    rows = _parity_rows(n, 2 * n - 2 - s_odd, 2 * n - 2 - s_even, 1)
+    rows.extend(_box_rows(marg, n, 1))
+    # mismatch = n/2 - (sum of connection expectations)/2
+    eq = tuple([_HALF] * n + [Fraction(1)])
+    rows.append((eq, "==", Fraction(n, 2)))
     variables = conn_vars + ("delta",)
     return InequalitySystem(variables, tuple(rows)), conn_vars
 
 
-def project_to_delta(sys: Union[BellSystem, LGSystem]) -> InequalitySystem:
+def project_to_delta(sys: System) -> InequalitySystem:
     """Eliminate every connection expectation, leaving bounds on the mismatch.
 
     The defining equality substitutes out the first connection variable; the
@@ -312,13 +298,17 @@ def project_to_delta(sys: Union[BellSystem, LGSystem]) -> InequalitySystem:
     return system
 
 
-def derive_delta_bounds(sys: Union[BellSystem, LGSystem]) -> tuple[Fraction, Fraction]:
+def derive_delta_bounds(sys: System) -> tuple[Fraction, Fraction]:
     """(min, max) of the total connection mismatch, by pure projection.
 
     Independent route: shares no formula with the closed-form interval and no
     polytope construction with the LP oracle.
     """
-    projected = project_to_delta(sys)
+    return _interval(project_to_delta(sys))
+
+
+def _interval(projected: InequalitySystem) -> tuple[Fraction, Fraction]:
+    """(min, max) of the mismatch read off a system projected onto it."""
     lo = None
     hi = None
     for (c,), relation, bound in projected.rows:

@@ -12,7 +12,9 @@ import hashlib
 import random
 from fractions import Fraction
 
+from . import cyclic
 from .core import (
+    KINDS,
     BellSystem,
     FrechetViolationError,
     LGSystem,
@@ -82,41 +84,19 @@ def _random_pair(rng: random.Random) -> PairDistribution:
             return PairDistribution(*(Fraction(c, total) for c in cells))
 
 
-def _project_no_signaling_bell(pairs: list[PairDistribution]) -> BellSystem:
-    p11, p12, p21, p22 = pairs
-    a1 = (p11.x_mean + p12.x_mean) * _HALF
-    a2 = (p21.x_mean + p22.x_mean) * _HALF
-    b1 = (p11.y_mean + p21.y_mean) * _HALF
-    b2 = (p12.y_mean + p22.y_mean) * _HALF
-    return BellSystem(
-        PairDistribution.from_expectations(a1, b1, p11.xy_mean),
-        PairDistribution.from_expectations(a1, b2, p12.xy_mean),
-        PairDistribution.from_expectations(a2, b1, p21.xy_mean),
-        PairDistribution.from_expectations(a2, b2, p22.xy_mean),
+def _project_no_signaling(cls: type, pairs: list[PairDistribution]):
+    """Replace both marginals of every connection by their average, keeping
+    each pair's product expectation."""
+    means = [[pair.x_mean, pair.y_mean] for pair in pairs]
+    for (p1, side1), (p2, side2) in cls.CONNECTIONS:
+        average = (means[p1][side1] + means[p2][side2]) * _HALF
+        means[p1][side1] = means[p2][side2] = average
+    return cls(
+        *(
+            PairDistribution.from_expectations(x, y, pair.xy_mean)
+            for (x, y), pair in zip(means, pairs)
+        )
     )
-
-
-def _project_no_signaling_lg(pairs: list[PairDistribution]) -> LGSystem:
-    p12, p13, p23 = pairs
-    q1 = (p12.x_mean + p13.x_mean) * _HALF
-    q2 = (p12.y_mean + p23.x_mean) * _HALF
-    q3 = (p13.y_mean + p23.y_mean) * _HALF
-    return LGSystem(
-        PairDistribution.from_expectations(q1, q2, p12.xy_mean),
-        PairDistribution.from_expectations(q1, q3, p13.xy_mean),
-        PairDistribution.from_expectations(q2, q3, p23.xy_mean),
-    )
-
-
-def _is_no_signaling(sys) -> bool:
-    from . import bell, lg  # local import to keep this module dependency-light
-
-    pairs = (
-        bell.connection_marginal_pairs(sys)
-        if isinstance(sys, BellSystem)
-        else lg.connection_marginal_pairs(sys)
-    )
-    return all(m1 == m2 for m1, m2 in pairs)
 
 
 def random_system(kind: str, seed: int, constraint: str = "none"):
@@ -128,24 +108,22 @@ def random_system(kind: str, seed: int, constraint: str = "none"):
         averages, resampling whenever the projected cells go negative.
       - "signaling_only": resample until at least one marginal pair differs.
     """
-    if kind not in ("bell", "lg"):
+    if kind not in KINDS:
         raise ValueError(f"unknown system kind {kind!r}")
     if constraint not in ("none", "no_signaling", "signaling_only"):
         raise ValueError(f"unknown constraint {constraint!r}")
     rng = random.Random(seed)
-    n_pairs = 4 if kind == "bell" else 3
-    make = BellSystem if kind == "bell" else LGSystem
-    project = _project_no_signaling_bell if kind == "bell" else _project_no_signaling_lg
+    cls = KINDS[kind]
     for _ in range(MAX_ATTEMPTS):
-        pairs = [_random_pair(rng) for _ in range(n_pairs)]
+        pairs = [_random_pair(rng) for _ in cls.PAIRS]
         if constraint == "no_signaling":
             try:
-                sys = project(pairs)
+                sys = _project_no_signaling(cls, pairs)
             except FrechetViolationError:
                 continue
         else:
-            sys = make(*pairs)
-            if constraint == "signaling_only" and _is_no_signaling(sys):
+            sys = cls(*pairs)
+            if constraint == "signaling_only" and cyclic.is_no_signaling(sys):
                 continue
         if not validate(sys):
             return sys
@@ -162,13 +140,7 @@ def random_connection_means(sys, seed: int, inside_bounds: bool) -> tuple[Fracti
     at the single-connection level); with ``False`` it is drawn uniformly on
     a rational grid over [-1, 1] and frequently lands outside.
     """
-    from . import bell, lg
-
-    marg = (
-        bell.connection_marginal_pairs(sys)
-        if isinstance(sys, BellSystem)
-        else lg.connection_marginal_pairs(sys)
-    )
+    marg = cyclic.connection_marginal_pairs(sys)
     rng = random.Random(seed)
     means = []
     for m1, m2 in marg:

@@ -1,177 +1,67 @@
-"""Closed-form contextuality analysis of temporal (Leggett-Garg-type) systems.
+"""Closed-form contextuality analysis of temporal (Leggett-Garg-type)
+systems: the rank-3 cycle.
 
 The three connections couple the outcome at each time point across the two
 conditions in which it is recorded: (Q_12, Q_13), (Q_21, Q_23), (Q_31, Q_32).
-``delta`` is the total connection mismatch mass; ``delta0`` the minimum the
-marginals force.
+The formulas live in ``cyclic``; this module gives them their temporal names
+and adds the time-ordered reading.
 
 In the time-ordered reading (``causal=True``, the default) the outcome at the
 first time point cannot depend on when the later measurement happens, so
-<Q_12> must equal <Q_13> and the first connection contributes nothing to
-``delta0``. Pass ``causal=False`` to treat the three labels as arbitrary
-conditions and charge the first connection like the others.
-
-Two corrections relative to commonly printed shortcut forms, both certified
-by the LP oracle (see the verification harness):
-
-- The criterion's two-sided form pairs its upper bound with *min* of the
-  three product expectations, not max; the odd-parity signed-sum form used
-  here is equivalent to that two-sided min form by sign enumeration.
-- The statistic-driven upper bound of the mismatch interval uses the
-  *even*-parity signed-sum maximum of the three products. With three
-  connections, the all-minus sign pattern on the connection terms is itself
-  odd, so the product terms must complete the parity with an even pattern.
-  (With four connections, as in the Bell layout, all-minus is even and the
-  odd-parity maximum is correct.) The odd-parity variant would wrongly cap
-  the all-anticorrelated system's mismatch at 2; an explicit coupling
-  reaches 3.
+<Q_12> must equal <Q_13>, else CausalityViolationError is raised, and the
+first connection contributes nothing to ``delta0``. Pass ``causal=False`` to
+treat the three labels as arbitrary conditions and charge the first
+connection like the others. ``delta_interval`` and ``classic_checks`` charge
+all three connections and do not depend on the flag.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
-from .core import (
-    CausalityViolationError,
-    LGSystem,
-    _max_signed_sum,
-    max_signed_sum_odd,
-)
+from . import cyclic
+from .core import LGSystem
+from .cyclic import classic_checks, connection_marginal_pairs, delta_interval  # noqa: F401
 
-_HALF = Fraction(1, 2)
-
-def connection_marginal_pairs(sys: LGSystem) -> tuple[tuple[Fraction, Fraction], ...]:
-    """The two observed marginals coupled by each connection.
-
-    Canonical connection order: (Q_12, Q_13), (Q_21, Q_23), (Q_31, Q_32).
-    """
-    return (
-        (sys.q_mean(1, 2), sys.q_mean(1, 3)),
-        (sys.q_mean(2, 1), sys.q_mean(2, 3)),
-        (sys.q_mean(3, 1), sys.q_mean(3, 2)),
-    )
+lgsz_statistic = cyclic.statistic
 
 
-@dataclass(frozen=True)
-class LGConnectionVector:
+class LGConnectionVector(cyclic.ConnectionVector):
     """Per-connection mismatch probabilities Pr[X != X'] in canonical order."""
 
-    c_1: Fraction
-    c_2: Fraction
-    c_3: Fraction
-
-    def components(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.c_1, self.c_2, self.c_3)
-
-    def total(self) -> Fraction:
-        return sum(self.components(), Fraction(0))
-
-
-def minimal_connections(sys: LGSystem, causal: bool = True) -> LGConnectionVector:
-    """Smallest mismatch probabilities the marginals allow.
-
-    With ``causal=True`` the first component is pinned to zero and the data
-    must satisfy <Q_12> == <Q_13>; otherwise a CausalityViolationError is
-    raised. With ``causal=False`` the first component is |<Q_12> - <Q_13>|/2
-    like the other two.
-    """
-    (m12, m13), (m21, m23), (m31, m32) = connection_marginal_pairs(sys)
-    if causal:
-        if m12 != m13:
-            raise CausalityViolationError(
-                f"time-ordered treatment needs <Q12> == <Q13>, got {m12} != {m13}"
-            )
-        first = Fraction(0)
-    else:
-        first = abs(m12 - m13) * _HALF
-    return LGConnectionVector(first, abs(m21 - m23) * _HALF, abs(m31 - m32) * _HALF)
-
-
-def delta0(sys: LGSystem, causal: bool = True) -> Fraction:
-    """Total connection mismatch forced by the marginals alone."""
-    return minimal_connections(sys, causal=causal).total()
-
-
-def lgsz_statistic(sys: LGSystem) -> Fraction:
-    """Odd-parity signed-sum maximum of the three product expectations."""
-    return max_signed_sum_odd(sys.product_means())
-
-
-def is_noncontextual(sys: LGSystem, causal: bool = True) -> bool:
-    """Signaling-adjusted criterion: statistic <= 1 + 2 delta0."""
-    return lgsz_statistic(sys) <= 1 + 2 * delta0(sys, causal=causal)
-
-
-def degree(sys: LGSystem, causal: bool = True) -> Fraction:
-    """Degree of contextuality: max(0, statistic/2 - 1/2 - delta0)."""
-    return max(
-        Fraction(0), lgsz_statistic(sys) * _HALF - _HALF - delta0(sys, causal=causal)
-    )
-
-
-def delta_interval(sys: LGSystem) -> tuple[Fraction, Fraction]:
-    """Exact range of total connection mismatch over all compatible joints.
-
-    Lower bound: max(half the sum of marginal differences, statistic/2 - 1/2);
-    the marginal term charges all three connections, including the first, so
-    this interval does not depend on the causal flag. Upper bound:
-    min(7/2 - even-parity max of the products / 2, 3 - half the sum of
-    |<X> + <X'>| over connections); see the module docstring for why the
-    upper bound uses the even-parity maximum.
-    """
-    prods = sys.product_means()
-    lo_stat = max_signed_sum_odd(prods) * _HALF - _HALF
-    hi_stat = Fraction(7, 2) - _max_signed_sum(prods, 0) * _HALF
-    diffs = sum(
-        (abs(m1 - m2) for m1, m2 in connection_marginal_pairs(sys)), Fraction(0)
-    )
-    sums = sum(
-        (abs(m1 + m2) for m1, m2 in connection_marginal_pairs(sys)), Fraction(0)
-    )
-    return (max(diffs * _HALF, lo_stat), min(hi_stat, 3 - sums * _HALF))
-
-
-def classic_checks(sys: LGSystem) -> tuple[bool, bool]:
-    """(no-signaling holds, classic two-sided temporal bound holds).
-
-    The classic bound: -1 <= sum of the three products <= 1 + 2 min(products).
-    """
-    no_signaling = all(m1 == m2 for m1, m2 in connection_marginal_pairs(sys))
-    prods = sys.product_means()
-    total = sum(prods, Fraction(0))
-    classic = -1 <= total <= 1 + 2 * min(prods)
-    return (no_signaling, classic)
+    c_1, c_2, c_3 = (property(itemgetter(k)) for k in range(3))
 
 
 @dataclass(frozen=True)
-class LGReport:
+class LGReport(cyclic.Report):
     """Full closed-form verdict for one temporal system."""
 
-    delta0: Fraction
-    statistic: Fraction
-    delta_min: Fraction
-    delta_max: Fraction
-    degree: Fraction
-    noncontextual: bool
-    signaling: bool
-    classic_satisfied: bool
     causal: bool
 
 
+def _checked(sys: LGSystem, causal: bool) -> LGSystem:
+    if causal:
+        cyclic.check_causal(sys)
+    return sys
+
+
+def minimal_connections(sys: LGSystem, causal: bool = True) -> LGConnectionVector:
+    return LGConnectionVector(cyclic.minimal_connections(_checked(sys, causal)))
+
+
+def delta0(sys: LGSystem, causal: bool = True) -> Fraction:
+    return cyclic.delta0(_checked(sys, causal))
+
+
+def is_noncontextual(sys: LGSystem, causal: bool = True) -> bool:
+    return cyclic.is_noncontextual(_checked(sys, causal))
+
+
+def degree(sys: LGSystem, causal: bool = True) -> Fraction:
+    return cyclic.degree(_checked(sys, causal))
+
+
 def analyze(sys: LGSystem, causal: bool = True) -> LGReport:
-    d0 = delta0(sys, causal=causal)
-    stat = lgsz_statistic(sys)
-    lo, hi = delta_interval(sys)
-    no_signaling, classic = classic_checks(sys)
-    return LGReport(
-        delta0=d0,
-        statistic=stat,
-        delta_min=lo,
-        delta_max=hi,
-        degree=max(Fraction(0), stat * _HALF - _HALF - d0),
-        noncontextual=stat <= 1 + 2 * d0,
-        signaling=not no_signaling,
-        classic_satisfied=classic,
-        causal=causal,
-    )
+    return LGReport(**vars(cyclic.analyze(_checked(sys, causal))), causal=causal)

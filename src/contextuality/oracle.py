@@ -13,34 +13,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
-from . import bell as bell_analysis
-from . import lg as lg_analysis
-from .core import (
-    BellSystem,
-    LGSystem,
-    OUTCOMES,
-    as_fraction,
-    max_signed_sum_even,
-    max_signed_sum_odd,
-)
-from .ratlp import LinearProgram, is_feasible, solve
-
-System = Union[BellSystem, LGSystem]
+from . import cyclic
+from .core import OUTCOMES, System, as_fraction, max_signed_sum_odd
+from .ratlp import LinearProgram, LPOutcome, is_feasible, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Per kind: the variables, the observed pairs and the connections. This table
+# is the oracle's own, kept apart from the cycle each system class declares,
+# so that a wrong connection in either one shows up in the cross-checks.
 # Atom variable order fixes the column layout: atom k assigns +1 to variable v
 # when bit (n_vars - 1 - v) of k is 0, and -1 when it is 1.
-_BELL_VARS = ("A11", "B11", "A12", "B12", "A21", "B21", "A22", "B22")
-_BELL_OBSERVED = (("A11", "B11"), ("A12", "B12"), ("A21", "B21"), ("A22", "B22"))
-_BELL_CONNECTIONS = (("A11", "A12"), ("A21", "A22"), ("B11", "B21"), ("B12", "B22"))
-
-_LG_VARS = ("Q12", "Q21", "Q13", "Q31", "Q23", "Q32")
-_LG_OBSERVED = (("Q12", "Q21"), ("Q13", "Q31"), ("Q23", "Q32"))
-_LG_CONNECTIONS = (("Q12", "Q13"), ("Q21", "Q23"), ("Q31", "Q32"))
+_CYCLES = {
+    "bell": (
+        ("A11", "B11", "A12", "B12", "A21", "B21", "A22", "B22"),
+        (("A11", "B11"), ("A12", "B12"), ("A21", "B21"), ("A22", "B22")),
+        (("A11", "A12"), ("A21", "A22"), ("B11", "B21"), ("B12", "B22")),
+    ),
+    "lg": (
+        ("Q12", "Q21", "Q13", "Q31", "Q23", "Q32"),
+        (("Q12", "Q21"), ("Q13", "Q31"), ("Q23", "Q32")),
+        (("Q12", "Q13"), ("Q21", "Q23"), ("Q31", "Q32")),
+    ),
+}
 
 _OUTCOME_PAIRS = tuple((x, y) for x in OUTCOMES for y in OUTCOMES)
 
@@ -81,18 +79,12 @@ def _atom_value(atom: int, var_index: int, n_vars: int) -> int:
     return 1 if not (atom >> (n_vars - 1 - var_index)) & 1 else -1
 
 
-def _pair_groups(kind: str) -> tuple[tuple[str, ...], tuple, tuple]:
-    if kind == "bell":
-        return _BELL_VARS, _BELL_OBSERVED, _BELL_CONNECTIONS
-    if kind == "lg":
-        return _LG_VARS, _LG_OBSERVED, _LG_CONNECTIONS
-    raise ValueError(f"unknown system kind {kind!r}")
-
-
 @lru_cache(maxsize=None)
 def build_vertex_matrix(kind: str) -> VertexMatrix:
     """The coupling-polytope vertex matrix: 32 x 256 for "bell", 24 x 64 for "lg"."""
-    variables, observed, connections = _pair_groups(kind)
+    if kind not in _CYCLES:
+        raise ValueError(f"unknown system kind {kind!r}")
+    variables, observed, connections = _CYCLES[kind]
     n_vars = len(variables)
     n_atoms = 1 << n_vars
     index = {name: i for i, name in enumerate(variables)}
@@ -113,24 +105,10 @@ def build_vertex_matrix(kind: str) -> VertexMatrix:
     return VertexMatrix(kind, variables, tuple(labels), tuple(rows))
 
 
-def system_kind(sys: System) -> str:
-    if isinstance(sys, BellSystem):
-        return "bell"
-    if isinstance(sys, LGSystem):
-        return "lg"
-    raise TypeError(f"expected BellSystem or LGSystem, got {type(sys).__name__}")
-
-
-def _observed_pairs(sys: System):
-    if isinstance(sys, BellSystem):
-        return [sys.pair(i, j) for i, j in sys.SETTINGS]
-    return [sys.pair(i, j) for i, j in sys.TIME_PAIRS]
-
-
 def observed_vector(sys: System) -> tuple[Fraction, ...]:
     """Observed cell probabilities in vertex-matrix row order."""
     cells: list[Fraction] = []
-    for pair in _observed_pairs(sys):
+    for pair in sys.pairs():
         cells.extend(pair.cells())
     return tuple(cells)
 
@@ -155,8 +133,7 @@ def _unequal_rows(kind: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _observed_constraints(sys: System):
-    kind = system_kind(sys)
-    vm = build_vertex_matrix(kind)
+    vm = build_vertex_matrix(sys.KIND)
     p = observed_vector(sys)
     return [
         (vm.entries[r], "==", p[r]) for r in range(vm.n_observed_rows)
@@ -170,14 +147,13 @@ def compatible(sys: System, connections: Sequence) -> bool:
     ``connections`` lists Pr[X != X'] per connection in canonical order
     (4 values for Bell systems, 3 for temporal ones).
     """
-    kind = system_kind(sys)
-    uneq = _unequal_rows(kind)
+    uneq = _unequal_rows(sys.KIND)
     conn = [as_fraction(c) for c in connections]
     if len(conn) != len(uneq):
         raise ValueError(f"expected {len(uneq)} connection probabilities, got {len(conn)}")
     constraints = _observed_constraints(sys)
     constraints += [(row, "==", c) for row, c in zip(uneq, conn)]
-    names = _atom_names(kind)
+    names = _atom_names(sys.KIND)
     lp = LinearProgram(names, tuple(constraints), nonneg=frozenset(names))
     return is_feasible(lp)
 
@@ -188,19 +164,18 @@ def _delta_objective(kind: str) -> tuple[int, ...]:
 
 
 def _delta_lp(sys: System, sense: str) -> LinearProgram:
-    kind = system_kind(sys)
-    names = _atom_names(kind)
+    names = _atom_names(sys.KIND)
     return LinearProgram(
         names,
         tuple(_observed_constraints(sys)),
-        objective=_delta_objective(kind),
+        objective=_delta_objective(sys.KIND),
         sense=sense,
         nonneg=frozenset(names),
     )
 
 
-def delta_extrema(sys: System) -> tuple[Fraction, Fraction]:
-    """(min, max) of the total connection mismatch over all compatible joints."""
+def _delta_outcomes(sys: System) -> tuple[LPOutcome, LPOutcome]:
+    """The optimal outcomes minimizing and maximizing the total mismatch."""
     lo = solve(_delta_lp(sys, "min"))
     hi = solve(_delta_lp(sys, "max"))
     if lo.status != "optimal" or hi.status != "optimal":
@@ -208,21 +183,25 @@ def delta_extrema(sys: System) -> tuple[Fraction, Fraction]:
             f"mismatch extremization reported {lo.status}/{hi.status}; "
             "the observed distributions cannot be valid"
         )
+    return lo, hi
+
+
+def delta_extrema(sys: System) -> tuple[Fraction, Fraction]:
+    """(min, max) of the total connection mismatch over all compatible joints."""
+    lo, hi = _delta_outcomes(sys)
     return (lo.optimum, hi.optimum)
 
 
 def degree(sys: System, causal: bool = True) -> Fraction:
     """Definitional degree max(0, delta_min - delta0), delta_min by LP.
 
-    ``causal`` only affects temporal systems, matching the closed-form
-    treatment of the first connection.
+    ``causal`` only affects layouts with a time order (temporal systems),
+    matching the closed-form treatment of the first connection.
     """
+    if causal:
+        cyclic.check_causal(sys)
     lo, _ = delta_extrema(sys)
-    if isinstance(sys, BellSystem):
-        d0 = bell_analysis.delta0(sys)
-    else:
-        d0 = lg_analysis.delta0(sys, causal=causal)
-    return max(_ZERO, lo - d0)
+    return max(_ZERO, lo - cyclic.delta0(sys))
 
 
 @dataclass(frozen=True)
@@ -238,17 +217,11 @@ class OracleResult:
 def report(sys: System, causal: bool = True) -> OracleResult:
     """Run the full oracle: mismatch extrema, compatibility at the minimal
     connection vector, and the joint-distribution witness of the minimum."""
-    kind = system_kind(sys)
-    lo = solve(_delta_lp(sys, "min"))
-    hi = solve(_delta_lp(sys, "max"))
-    if lo.status != "optimal" or hi.status != "optimal":
-        raise InternalInconsistencyError("mismatch extremization infeasible on valid input")
-    if isinstance(sys, BellSystem):
-        c0 = bell_analysis.minimal_connections(sys)
-    else:
-        c0 = lg_analysis.minimal_connections(sys, causal=causal)
-    names = _atom_names(kind)
-    witness = tuple(lo.witness[name] for name in names)
+    if causal:
+        cyclic.check_causal(sys)
+    lo, hi = _delta_outcomes(sys)
+    c0 = cyclic.minimal_connections(sys)
+    witness = tuple(lo.witness[name] for name in _atom_names(sys.KIND))
     return OracleResult(
         delta_min=lo.optimum,
         delta_max=hi.optimum,
@@ -273,11 +246,7 @@ def compatibility_verdicts(
     nonnegativity bounds on each connection; the LP asks directly for a joint
     distribution matching all 2x2 tables. The two must agree on every input.
     """
-    kind = system_kind(sys)
-    if isinstance(sys, BellSystem):
-        marg = bell_analysis.connection_marginal_pairs(sys)
-    else:
-        marg = lg_analysis.connection_marginal_pairs(sys)
+    marg = cyclic.connection_marginal_pairs(sys)
     means = [as_fraction(c) for c in connection_means]
     if len(means) != len(marg):
         raise ValueError(f"expected {len(marg)} connection expectations, got {len(means)}")
@@ -286,24 +255,18 @@ def compatibility_verdicts(
         -1 + abs(m1 + m2) <= t <= 1 - abs(m1 - m2)
         for (m1, m2), t in zip(marg, means)
     )
-    prods = sys.product_means()
-    if kind == "bell":
-        closed = (
-            frechet_ok
-            and max_signed_sum_even(prods) + max_signed_sum_odd(means) <= 6
-            and max_signed_sum_odd(prods) + max_signed_sum_even(means) <= 6
-        )
-    else:
-        closed = frechet_ok and max_signed_sum_odd(list(prods) + means) <= 4
+    # one odd-parity condition over the n products and the n connection terms
+    bound = 2 * len(marg) - 2
+    closed = frechet_ok and max_signed_sum_odd(sys.product_means() + tuple(means)) <= bound
 
     # LP route: pin all 32 (24) event probabilities, including the connection
     # cells computed directly from the requested expectations. A cell that
     # comes out negative simply makes the program infeasible.
-    vm = build_vertex_matrix(kind)
+    vm = build_vertex_matrix(sys.KIND)
     p_full = list(observed_vector(sys))
     for (m1, m2), t in zip(marg, means):
         p_full.extend(_raw_cells(m1, m2, t))
-    names = _atom_names(kind)
+    names = _atom_names(sys.KIND)
     constraints = tuple(
         (vm.entries[r], "==", p_full[r]) for r in range(vm.n_rows)
     )

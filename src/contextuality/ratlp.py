@@ -1,6 +1,7 @@
 """Exact linear programming over the rationals.
 
-Two-phase primal simplex with Bland's anti-cycling rule. The tableau is kept
+Two-phase primal simplex with Dantzig pricing that falls back to Bland's
+anti-cycling rule after a run of degenerate pivots. The tableau is kept
 fraction-free: entries are integers sharing a single denominator (the
 determinant of the current basis), so a pivot needs only integer
 multiply/subtract and one exact division per cell. Optimal solves carry a
@@ -132,8 +133,10 @@ def _pivot(tab: list[list[int]], den: int, r: int, s: int) -> int:
 def solve(lp: LinearProgram) -> LPOutcome:
     """Solve ``lp`` exactly over the rationals.
 
-    Deterministic: Bland's rule with lowest-index tie-breaking, so identical
-    programs yield identical outcomes and witnesses.
+    Deterministic: Dantzig pricing (most negative reduced cost, lowest index
+    on ties), switching to Bland's rule after ``_STALL_LIMIT`` degenerate
+    pivots in a row, with lowest-basis-index ratio ties; identical programs
+    yield identical outcomes and witnesses.
     """
     n_vars = len(lp.variables)
     if lp.sense == "feasibility":

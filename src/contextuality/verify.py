@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from . import bell, fme, lg, oracle
-from .core import BellSystem
+from . import cyclic, fme, oracle
+from .core import KINDS
 from .generators import random_connection_means, random_system, split_seed
 
 _ZERO = Fraction(0)
@@ -86,22 +86,14 @@ def verify_kind(
         child = split_seed(seed, index)
         constraint = _constraint_for(index)
         sys = random_system(kind, child, constraint)
-        is_bell = isinstance(sys, BellSystem)
 
-        if is_bell:
-            closed_degree = bell.degree(sys)
-            closed_interval = bell.delta_interval(sys)
-            d0 = bell.delta0(sys)
-            noncontextual = bell.is_noncontextual(sys)
-            c0 = bell.minimal_connections(sys)
-            no_signaling, classic = bell.classic_checks(sys)
-        else:
-            closed_degree = lg.degree(sys, causal=False)
-            closed_interval = lg.delta_interval(sys)
-            d0 = lg.delta0(sys, causal=False)
-            noncontextual = lg.is_noncontextual(sys, causal=False)
-            c0 = lg.minimal_connections(sys, causal=False)
-            no_signaling, classic = lg.classic_checks(sys)
+        # the generalized treatment: temporal systems without the causal pin
+        closed_degree = cyclic.degree(sys)
+        closed_interval = cyclic.delta_interval(sys)
+        d0 = cyclic.delta0(sys)
+        noncontextual = cyclic.is_noncontextual(sys)
+        c0 = cyclic.minimal_connections(sys)
+        no_signaling, classic = cyclic.classic_checks(sys)
         if fault_injection and index == 0:
             closed_degree = closed_degree + 1
 
@@ -163,7 +155,7 @@ def run_verification(
     run_fme: bool = True,
     fault_injection: bool = False,
 ) -> list[VerificationSummary]:
-    kinds = ("bell", "lg") if kind == "both" else (kind,)
+    kinds = tuple(KINDS) if kind == "both" else (kind,)
     return [
         verify_kind(k, samples, seed, run_fme=run_fme, fault_injection=fault_injection)
         for k in kinds

@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from contextuality import bell
+from contextuality import bell, fme
 from contextuality.cli import main, parse_system_document, DocumentError
 from contextuality.core import BellSystem, LGSystem
 from contextuality.generators import pr_signaling_family
@@ -208,6 +209,24 @@ class TestSweep:
         ])
         assert code == 2 and "step" in err
 
+    def test_oversized_range_exit_two_promptly(self, tmp_path):
+        out_path = tmp_path / "x.csv"
+        start = time.perf_counter()
+        code, _, err = run_cli([
+            "sweep", "--delta", "0:1:1/1000000000", "--epsilon", "0:0:1",
+            "--out", str(out_path),
+        ])
+        assert code == 2 and "1000000001 points" in err
+        assert time.perf_counter() - start < 5
+        assert not out_path.exists()
+
+    def test_oversized_grid_exit_two(self, tmp_path):
+        code, _, err = run_cli([
+            "sweep", "--delta", "0:1:1/200", "--epsilon", "0:1:1/200",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2 and "40401 points" in err
+
     def test_unknown_family(self, tmp_path):
         code, _, err = run_cli([
             "sweep", "--family", "ghz", "--delta", "0:0:1", "--epsilon", "0:0:1",
@@ -249,6 +268,19 @@ class TestDerive:
         code, out, _ = run_cli(["derive", write_doc(tmp_path, "anti.json", LG_ANTI_DOC)])
         assert code == 0
         assert "interval: [1, 3]" in out
+
+    def test_projects_once(self, tmp_path, monkeypatch):
+        calls = []
+        project = fme.project_to_delta
+
+        def counting(system):
+            calls.append(system)
+            return project(system)
+
+        monkeypatch.setattr(fme, "project_to_delta", counting)
+        code, out, _ = run_cli(["derive", write_doc(tmp_path, "pr.json", PR_DOC)])
+        assert code == 0 and "interval: [1, 3]" in out
+        assert len(calls) == 1
 
     def test_parse_error_exit_two(self, tmp_path):
         path = tmp_path / "broken.json"

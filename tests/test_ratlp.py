@@ -209,3 +209,21 @@ class TestDeterminismAndCertificates:
         out = solve(lp)
         assert out.status == "optimal"
         check_certificate(lp, out)
+
+    @pytest.mark.parametrize("seed", [34, 45, 61])
+    def test_certificates_after_bland_fallback(self, seed):
+        # cone rows a.x <= 0 make the origin a highly degenerate vertex: on
+        # these seeds Dantzig pricing stalls long enough to switch to Bland's
+        # rule before the optimum is reached
+        rng = random.Random(seed)
+        n = rng.randint(4, 7)
+        m = rng.randint(8, 20)
+        names = tuple(f"x{j}" for j in range(n))
+        cone = [(tuple(rng.randint(-3, 3) for _ in range(n)), "<=", 0) for _ in range(m)]
+        objective = tuple(rng.randint(-3, 3) for _ in range(n))
+        lp = LinearProgram(
+            names, tuple(cone + box(names, -1, 1)), objective=objective, sense="max"
+        )
+        out = solve(lp)
+        assert out.status == "optimal"
+        check_certificate(lp, out)

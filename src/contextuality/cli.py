@@ -113,7 +113,7 @@ def load_system(path: str) -> System:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an over-long integer
             raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
     return parse_system_document(data)
 
@@ -171,14 +171,11 @@ def _render_text(payload: dict) -> str:
     lines = [f"kind: {payload['kind']}"]
     if "causal" in payload:
         lines.append(f"causal: {str(payload['causal']).lower()}")
-    for section in ("values", "verdicts", "slacks"):
+    for section in ("values", "verdicts", "slacks", "oracle"):
+        if section not in payload:
+            continue
         lines.append(f"{section}:")
         for name, value in payload[section].items():
-            shown = str(value).lower() if isinstance(value, bool) else value
-            lines.append(f"  {name}: {shown}")
-    if "oracle" in payload:
-        lines.append("oracle:")
-        for name, value in payload["oracle"].items():
             shown = str(value).lower() if isinstance(value, bool) else value
             lines.append(f"  {name}: {shown}")
     return "\n".join(lines)
@@ -189,17 +186,25 @@ def _input_error(message: str) -> int:
     return EXIT_INPUT_ERROR
 
 
+def _load_valid(path: str) -> Optional[System]:
+    """The system document at ``path``, or None once every reason it cannot
+    be used has been reported."""
+    try:
+        system = load_system(path)
+    except (DocumentError, OSError) as exc:
+        _input_error(str(exc))
+        return None
+    violations = validate(system)
+    for v in violations:
+        print(f"error: pair {v.pair}: {v.description}", file=sys.stderr)
+    return None if violations else system
+
+
 def cmd_analyze(args) -> int:
     if args.decimals is not None and args.decimals < 0:
         return _input_error("--decimals must be nonnegative")
-    try:
-        system = load_system(args.input)
-    except (DocumentError, OSError) as exc:
-        return _input_error(str(exc))
-    violations = validate(system)
-    if violations:
-        for v in violations:
-            print(f"error: pair {v.pair}: {v.description}", file=sys.stderr)
+    system = _load_valid(args.input)
+    if system is None:
         return EXIT_INPUT_ERROR
     try:
         payload, report = _analysis_payload(
@@ -308,14 +313,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    try:
-        system = load_system(args.input)
-    except (DocumentError, OSError) as exc:
-        return _input_error(str(exc))
-    violations = validate(system)
-    if violations:
-        for v in violations:
-            print(f"error: pair {v.pair}: {v.description}", file=sys.stderr)
+    system = _load_valid(args.input)
+    if system is None:
         return EXIT_INPUT_ERROR
     projected = fme.project_to_delta(system)
     lo, hi = fme._interval(projected)

@@ -7,9 +7,10 @@ canonical storage; expectations are derived views of it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Iterable, Mapping, Union
+from typing import ClassVar, Iterable, Union
 
 Rational = Union[Fraction, int, float, str]
 
@@ -30,12 +31,23 @@ class CausalityViolationError(ValueError):
     """Time-ordered treatment was requested for data that violate it."""
 
 
+# Largest decimal exponent a string may carry. Parsing "1e1000000" builds a
+# million-digit integer, and the cost grows about 45x per exponent digit;
+# 4300 is CPython's own limit on the digits of an int read from a string,
+# which already bounds every other part of a literal.
+MAX_DECIMAL_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def as_fraction(value: Rational) -> Fraction:
     """Coerce ``value`` to an exact rational.
 
-    Strings may be fractions ("3/4") or decimals ("0.75"). Floats are read
-    through their shortest decimal representation, so ``0.1`` becomes 1/10
-    rather than the binary expansion of 0.1.
+    Strings may be fractions ("3/4") or decimals ("0.75", "2.5e-3"); a
+    decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` in size raises
+    ValueError. Floats are read through their shortest decimal
+    representation, so ``0.1`` becomes 1/10 rather than the binary expansion
+    of 0.1.
     """
     if isinstance(value, Fraction):
         return value
@@ -44,6 +56,11 @@ def as_fraction(value: Rational) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(
+                f"decimal exponent of {value[:40]!r} exceeds {MAX_DECIMAL_EXPONENT} in size"
+            )
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
@@ -198,10 +215,6 @@ class _Cycle:
     PAIRS: ClassVar[tuple[tuple[int, int], ...]]
     CONNECTIONS: ClassVar[tuple[tuple[tuple[int, int], tuple[int, int]], ...]]
     CAUSAL: ClassVar[tuple[int, ...]] = ()
-
-    @classmethod
-    def from_pairs(cls, pairs: Mapping[tuple[int, int], PairDistribution]):
-        return cls(*(pairs[key] for key in cls.PAIRS))
 
     def pair(self, i: int, j: int) -> PairDistribution:
         return getattr(self, f"p{i}{j}")

@@ -132,12 +132,21 @@ def _unequal_rows(kind: str) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _observed_constraints(sys: System):
+def _coupling_lp(
+    sys: System, pinned=(), objective=None, sense: str = "feasibility"
+) -> LinearProgram:
+    """Atoms q >= 0 reproducing every observed cell of ``sys``, with each
+    extra ``(row, value)`` in ``pinned`` held as ``row . q == value``."""
     vm = build_vertex_matrix(sys.KIND)
-    p = observed_vector(sys)
-    return [
-        (vm.entries[r], "==", p[r]) for r in range(vm.n_observed_rows)
-    ]
+    names = _atom_names(sys.KIND)
+    constraints = (*zip(vm.entries, observed_vector(sys)), *pinned)
+    return LinearProgram(
+        names,
+        tuple((row, "==", value) for row, value in constraints),
+        objective=objective,
+        sense=sense,
+        nonneg=frozenset(names),
+    )
 
 
 def compatible(sys: System, connections: Sequence) -> bool:
@@ -151,33 +160,13 @@ def compatible(sys: System, connections: Sequence) -> bool:
     conn = [as_fraction(c) for c in connections]
     if len(conn) != len(uneq):
         raise ValueError(f"expected {len(uneq)} connection probabilities, got {len(conn)}")
-    constraints = _observed_constraints(sys)
-    constraints += [(row, "==", c) for row, c in zip(uneq, conn)]
-    names = _atom_names(sys.KIND)
-    lp = LinearProgram(names, tuple(constraints), nonneg=frozenset(names))
-    return is_feasible(lp)
-
-
-def _delta_objective(kind: str) -> tuple[int, ...]:
-    uneq = _unequal_rows(kind)
-    return tuple(sum(col) for col in zip(*uneq))
-
-
-def _delta_lp(sys: System, sense: str) -> LinearProgram:
-    names = _atom_names(sys.KIND)
-    return LinearProgram(
-        names,
-        tuple(_observed_constraints(sys)),
-        objective=_delta_objective(sys.KIND),
-        sense=sense,
-        nonneg=frozenset(names),
-    )
+    return is_feasible(_coupling_lp(sys, zip(uneq, conn)))
 
 
 def _delta_outcomes(sys: System) -> tuple[LPOutcome, LPOutcome]:
     """The optimal outcomes minimizing and maximizing the total mismatch."""
-    lo = solve(_delta_lp(sys, "min"))
-    hi = solve(_delta_lp(sys, "max"))
+    total = tuple(map(sum, zip(*_unequal_rows(sys.KIND))))
+    lo, hi = (solve(_coupling_lp(sys, objective=total, sense=s)) for s in ("min", "max"))
     if lo.status != "optimal" or hi.status != "optimal":
         raise InternalInconsistencyError(
             f"mismatch extremization reported {lo.status}/{hi.status}; "
@@ -263,12 +252,6 @@ def compatibility_verdicts(
     # cells computed directly from the requested expectations. A cell that
     # comes out negative simply makes the program infeasible.
     vm = build_vertex_matrix(sys.KIND)
-    p_full = list(observed_vector(sys))
-    for (m1, m2), t in zip(marg, means):
-        p_full.extend(_raw_cells(m1, m2, t))
-    names = _atom_names(sys.KIND)
-    constraints = tuple(
-        (vm.entries[r], "==", p_full[r]) for r in range(vm.n_rows)
-    )
-    lp = LinearProgram(names, constraints, nonneg=frozenset(names))
+    cells = [c for (m1, m2), t in zip(marg, means) for c in _raw_cells(m1, m2, t)]
+    lp = _coupling_lp(sys, zip(vm.entries[vm.n_observed_rows :], cells))
     return (closed, is_feasible(lp))

@@ -5,9 +5,10 @@ anti-cycling rule after a run of degenerate pivots. The tableau is kept
 fraction-free: entries are integers sharing a single denominator (the
 determinant of the current basis), so a pivot needs only integer
 multiply/subtract and one exact division per cell. Optimal solves carry a
-rational dual certificate, infeasible solves a Farkas certificate; witnesses
-are independently re-checked against every constraint before they are
-returned.
+rational dual certificate, infeasible solves a Farkas certificate. Every
+answer is certified before it is returned: an optimum by its witness (checked
+against every constraint) and its dual (strong duality), an infeasibility by
+its Farkas vector.
 """
 
 from __future__ import annotations
@@ -136,8 +137,20 @@ def solve(lp: LinearProgram) -> LPOutcome:
     Deterministic: Dantzig pricing (most negative reduced cost, lowest index
     on ties), switching to Bland's rule after ``_STALL_LIMIT`` degenerate
     pivots in a row, with lowest-basis-index ratio ties; identical programs
-    yield identical outcomes and witnesses.
+    yield identical outcomes and witnesses. Every optimal or infeasible
+    outcome passes ``check_certificate`` before it is returned; one that
+    fails raises ``SolverError``.
     """
+    outcome = _simplex(lp)
+    if outcome.status != "unbounded":
+        try:
+            check_certificate(lp, outcome)
+        except CertificateError as exc:
+            raise SolverError(f"{outcome.status} outcome fails its certificate: {exc}") from exc
+    return outcome
+
+
+def _simplex(lp: LinearProgram) -> LPOutcome:
     n_vars = len(lp.variables)
     if lp.sense == "feasibility":
         minimize = [_ZERO] * n_vars
@@ -154,87 +167,57 @@ def solve(lp: LinearProgram) -> LPOutcome:
             cols.append((j, -1))
     n_struct = len(cols)
 
+    # Tableau columns: struct | slack | rhs | artificial. Each constraint
+    # becomes one integer row, scaled by the lcm of its denominators and
+    # signed so that its bound is nonnegative; ``restate[k]`` (sign times
+    # scale) maps the row's multiplier back to the constraint as stated.
+    # Each row starts basic in a unit column (its slack when that enters
+    # with +1, else a fresh artificial), where its dual value is read.
     m = len(lp.constraints)
-    # Row-wise integerization; track the positive scale and the sign flips so
-    # dual multipliers can be mapped back to the constraints as stated.
-    raw_rows: list[tuple[list[int], int, int, str]] = []  # (struct coeffs, b, flip, relation-as-std)
-    scales: list[int] = []
-    n_slack = 0
-    for coeffs, relation, bound in lp.constraints:
-        scale = lcm(*(c.denominator for c in coeffs), bound.denominator)
-        a = [int(c * scale) for c in coeffs]
-        b = int(bound * scale)
-        flip = 1
-        if relation == ">=":
-            a = [-x for x in a]
-            b = -b
-            flip = -1
-            relation = "<="
-        arow = [a[var] * sign for var, sign in cols]
-        raw_rows.append((arow, b, flip, relation))
-        scales.append(scale)
-        if relation == "<=":
-            n_slack += 1
-
-    # Assemble the tableau: struct | slack | artificial | rhs. Each row gets a
-    # unit column (its slack when usable, else an artificial) so dual values
-    # can be read off the final objective rows.
-    unit_col: list[int] = [0] * m
-    unit_is_art: list[bool] = [False] * m
-    flips: list[int] = [0] * m
-    body: list[tuple[list[int], list[int], int]] = []
-    si = 0
-    for k, (arow, b, flip, relation) in enumerate(raw_rows):
-        srow = [0] * n_slack
-        slack_pos = -1
-        if relation == "<=":
-            slack_pos = si
-            srow[si] = 1
-            si += 1
-        if b < 0:
-            arow = [-x for x in arow]
-            srow = [-x for x in srow]
-            b = -b
-            flip = -flip
-        flips[k] = flip
-        body.append((arow, srow, b))
-        if slack_pos >= 0 and srow[slack_pos] == 1:
-            unit_col[k] = n_struct + slack_pos
-        else:
-            unit_is_art[k] = True
-
-    n_art = 0
-    for k in range(m):
-        if unit_is_art[k]:
-            unit_col[k] = n_struct + n_slack + n_art
-            n_art += 1
-    n_real = n_struct + n_slack
-    width = n_real + n_art + 1
-    rhs = width - 1
-
+    n_real = n_struct + sum(relation != "==" for _, relation, _ in lp.constraints)
+    rhs = n_real
     tab: list[list[int]] = []
-    for k, (arow, srow, b) in enumerate(body):
-        row = arow + srow + [0] * n_art + [b]
-        if unit_is_art[k]:
-            row[unit_col[k]] = 1
+    basis: list[int] = []
+    restate: list[int] = []
+    art_rows: list[int] = []
+    slack = n_struct
+    for k, (coeffs, relation, bound) in enumerate(lp.constraints):
+        scale = lcm(*(c.denominator for c in coeffs), bound.denominator)
+        b = bound.numerator * (scale // bound.denominator)
+        to_le = -1 if relation == ">=" else 1
+        flip = to_le if to_le * b >= 0 else -to_le
+        a = [flip * c.numerator * (scale // c.denominator) for c in coeffs]
+        row = [a[var] * sign for var, sign in cols] + [0] * (n_real - n_struct) + [flip * b]
+        unit = -1
+        if relation != "==":
+            row[slack] = flip * to_le
+            if flip == to_le:
+                unit = slack
+            slack += 1
+        if unit < 0:
+            row += [0] * len(art_rows) + [1]
+            unit = len(row) - 1
+            art_rows.append(k)
         tab.append(row)
-    basis = list(unit_col)
+        basis.append(unit)
+        restate.append(flip * scale)
+    n_art = len(art_rows)
+    width = n_real + 1 + n_art
+    for row in tab:
+        row += [0] * (width - len(row))
+    units = list(basis)
 
-    need_obj = lp.sense != "feasibility"
-    obj_scale = 1
     Z2 = -1
-    if need_obj:
-        obj_scale = lcm(*(c.denominator for c in minimize)) if minimize else 1
-        z2 = [int(minimize[var] * sign * obj_scale) for var, sign in cols]
-        z2 += [0] * (n_slack + n_art + 1)
+    obj_scale = lcm(*(c.denominator for c in minimize))
+    if lp.sense != "feasibility":
+        scaled = [c.numerator * (obj_scale // c.denominator) for c in minimize]
         Z2 = len(tab)
-        tab.append(z2)
+        tab.append([scaled[var] * sign for var, sign in cols] + [0] * (width - n_struct))
     Z1 = -1
     if n_art:
-        z1 = [0] * n_real + [1] * n_art + [0]
-        for k in range(m):
-            if unit_is_art[k]:
-                z1 = [zc - tc for zc, tc in zip(z1, tab[k])]
+        z1 = [0] * (n_real + 1) + [1] * n_art
+        for k in art_rows:
+            z1 = [zc - tc for zc, tc in zip(z1, tab[k])]
         Z1 = len(tab)
         tab.append(z1)
 
@@ -297,14 +280,12 @@ def solve(lp: LinearProgram) -> LPOutcome:
             raise SolverError("phase-1 program reported unbounded")
         if tab[Z1][rhs] != 0:
             # Infeasible: the phase-1 duals give a Farkas certificate.
+            # An artificial unit column costs 1 in phase 1, a slack costs 0.
             farkas = []
-            for k in range(m):
-                c1 = 1 if unit_is_art[k] else 0
-                y = c1 - Fraction(tab[Z1][unit_col[k]], den)
-                farkas.append(y * flips[k] * scales[k])
-            outcome = LPOutcome(status="infeasible", farkas=tuple(farkas))
-            _check_farkas(lp, outcome.farkas)
-            return outcome
+            for k, unit in enumerate(units):
+                y = (unit > rhs) - Fraction(tab[Z1][unit], den)
+                farkas.append(y * restate[k])
+            return LPOutcome(status="infeasible", farkas=tuple(farkas))
         tab.pop(Z1)  # the phase-1 row is dead from here on
         # Drive basic artificials out; rows with no real coefficients left are
         # redundant and stay inert (their artificial sits at value zero).
@@ -330,7 +311,6 @@ def solve(lp: LinearProgram) -> LPOutcome:
             var, sign = cols[b]
             values[var] += sign * Fraction(tab[i][rhs], den)
     witness = {name: values[j] for j, name in enumerate(lp.variables)}
-    _check_witness(lp, witness)
 
     if lp.sense == "feasibility":
         return LPOutcome(
@@ -339,9 +319,9 @@ def solve(lp: LinearProgram) -> LPOutcome:
 
     objective_value = -Fraction(tab[Z2][rhs], den) / obj_scale
     dual = []
-    for k in range(m):
-        y = -Fraction(tab[Z2][unit_col[k]], den) / obj_scale
-        dual.append(y * flips[k] * scales[k])
+    for k, unit in enumerate(units):
+        y = -Fraction(tab[Z2][unit], den) / obj_scale
+        dual.append(y * restate[k])
     if lp.sense == "max":
         objective_value = -objective_value
         dual = [-y for y in dual]
@@ -371,7 +351,7 @@ def _row_value(coeffs, variables, witness) -> Fraction:
 def _check_witness(lp: LinearProgram, witness: dict[str, Fraction]) -> None:
     for name in lp.nonneg:
         if witness[name] < 0:
-            raise SolverError(f"witness violates {name} >= 0")
+            raise CertificateError(f"witness violates {name} >= 0")
     for k, (coeffs, relation, bound) in enumerate(lp.constraints):
         value = _row_value(coeffs, lp.variables, witness)
         ok = (
@@ -380,30 +360,43 @@ def _check_witness(lp: LinearProgram, witness: dict[str, Fraction]) -> None:
             else value >= bound if relation == ">=" else value == bound
         )
         if not ok:
-            raise SolverError(f"witness violates constraint {k}: {value} {relation} {bound}")
+            raise CertificateError(
+                f"witness violates constraint {k}: {value} {relation} {bound}"
+            )
 
 
-def _check_farkas(lp: LinearProgram, farkas: tuple[Fraction, ...]) -> None:
+def _check_multipliers(
+    lp: LinearProgram, y: Optional[tuple[Fraction, ...]], objective, sign: int
+) -> Fraction:
+    """Check one multiplier per constraint as a dual bound; return ``y . b``.
+
+    With ``sign`` 1 the multipliers bound ``min objective . x`` from below,
+    with -1 they bound ``max objective . x`` from above: ``sign * y`` is
+    <= 0 on "<=" rows and >= 0 on ">=" rows, and the reduced cost
+    ``objective - y A`` is 0 on free variables and has the sign of ``sign``
+    on nonnegative ones. A Farkas vector is the case of a zero objective
+    minimized, whose bound ``y . b`` comes out positive.
+    """
+    if y is None or len(y) != len(lp.constraints):
+        raise CertificateError("missing or mis-sized multipliers")
     combo = [_ZERO] * len(lp.variables)
-    bound_total = _ZERO
-    for y, (coeffs, relation, bound) in zip(farkas, lp.constraints):
-        if relation == "<=" and y > 0:
-            raise CertificateError("Farkas multiplier for a <= row must be <= 0")
-        if relation == ">=" and y < 0:
-            raise CertificateError("Farkas multiplier for a >= row must be >= 0")
-        if y:
+    total = _ZERO
+    for k, (yk, (coeffs, relation, bound)) in enumerate(zip(y, lp.constraints)):
+        if relation == "<=" and sign * yk > 0 or relation == ">=" and sign * yk < 0:
+            raise CertificateError(f"multiplier sign condition violated on constraint {k}")
+        if yk:
             for j, c in enumerate(coeffs):
                 if c:
-                    combo[j] += y * c
-            bound_total += y * bound
+                    combo[j] += yk * c
+            total += yk * bound
     for j, name in enumerate(lp.variables):
+        reduced = objective[j] - combo[j]
         if name in lp.nonneg:
-            if combo[j] > 0:
-                raise CertificateError(f"Farkas combination positive on {name}")
-        elif combo[j] != 0:
-            raise CertificateError(f"Farkas combination nonzero on free variable {name}")
-    if bound_total <= 0:
-        raise CertificateError("Farkas combination does not witness infeasibility")
+            if sign * reduced < 0:
+                raise CertificateError(f"reduced cost condition violated on {name}")
+        elif reduced != 0:
+            raise CertificateError(f"reduced cost nonzero on free variable {name}")
+    return total
 
 
 def check_certificate(lp: LinearProgram, outcome: LPOutcome) -> None:
@@ -416,45 +409,20 @@ def check_certificate(lp: LinearProgram, outcome: LPOutcome) -> None:
     """
     if outcome.status == "unbounded":
         return
+    zero = (_ZERO,) * len(lp.variables)
     if outcome.status == "infeasible":
-        if outcome.farkas is None or len(outcome.farkas) != len(lp.constraints):
-            raise CertificateError("missing or mis-sized Farkas certificate")
-        _check_farkas(lp, outcome.farkas)
+        if _check_multipliers(lp, outcome.farkas, zero, 1) <= 0:
+            raise CertificateError("Farkas combination does not witness infeasibility")
         return
     if outcome.status != "optimal":
         raise CertificateError(f"unknown status {outcome.status!r}")
-    if outcome.witness is None or outcome.dual is None or outcome.optimum is None:
+    if outcome.witness is None or outcome.optimum is None:
         raise CertificateError("optimal outcome must carry witness, dual, and optimum")
-    try:
-        _check_witness(lp, outcome.witness)
-    except SolverError as exc:
-        raise CertificateError(str(exc)) from exc
-    objective = lp.objective or (_ZERO,) * len(lp.variables)
+    _check_witness(lp, outcome.witness)
+    objective = lp.objective or zero
     attained = _row_value(objective, lp.variables, outcome.witness)
     if attained != outcome.optimum:
         raise CertificateError(f"witness attains {attained}, claimed {outcome.optimum}")
-
-    maximize = lp.sense == "max"
-    combo = [_ZERO] * len(lp.variables)
-    bound_total = _ZERO
-    for y, (coeffs, relation, bound) in zip(outcome.dual, lp.constraints):
-        if relation == "<=" and (y < 0 if maximize else y > 0):
-            raise CertificateError("dual sign condition violated on a <= row")
-        if relation == ">=" and (y > 0 if maximize else y < 0):
-            raise CertificateError("dual sign condition violated on a >= row")
-        if y:
-            for j, c in enumerate(coeffs):
-                if c:
-                    combo[j] += y * c
-            bound_total += y * bound
-    for j, name in enumerate(lp.variables):
-        reduced = objective[j] - combo[j]
-        if name in lp.nonneg:
-            if reduced < 0 if not maximize else reduced > 0:
-                raise CertificateError(f"reduced cost condition violated on {name}")
-        elif reduced != 0:
-            raise CertificateError(f"reduced cost nonzero on free variable {name}")
-    if bound_total != outcome.optimum:
-        raise CertificateError(
-            f"dual objective {bound_total} differs from optimum {outcome.optimum}"
-        )
+    bound = _check_multipliers(lp, outcome.dual, objective, -1 if lp.sense == "max" else 1)
+    if bound != outcome.optimum:
+        raise CertificateError(f"dual objective {bound} differs from optimum {outcome.optimum}")

@@ -45,10 +45,6 @@ class VerificationSummary:
     failures: list[CheckFailure] = field(default_factory=list)
 
     @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
     def first_failure(self) -> Optional[CheckFailure]:
         return self.failures[0] if self.failures else None
 
@@ -88,17 +84,16 @@ def verify_kind(
         sys = random_system(kind, child, constraint)
 
         # the generalized treatment: temporal systems without the causal pin
-        closed_degree = cyclic.degree(sys)
-        closed_interval = cyclic.delta_interval(sys)
-        d0 = cyclic.delta0(sys)
-        noncontextual = cyclic.is_noncontextual(sys)
+        closed = cyclic.analyze(sys)
+        closed_degree = closed.degree
+        closed_interval = (closed.delta_min, closed.delta_max)
+        noncontextual = closed.noncontextual
         c0 = cyclic.minimal_connections(sys)
-        no_signaling, classic = cyclic.classic_checks(sys)
         if fault_injection and index == 0:
             closed_degree = closed_degree + 1
 
         lo, hi = oracle.delta_extrema(sys)
-        oracle_degree = max(_ZERO, lo - d0)
+        oracle_degree = max(_ZERO, lo - closed.delta0)
 
         summary.checks_run += 1
         if closed_degree != oracle_degree:
@@ -135,14 +130,15 @@ def verify_kind(
                 f"inequalities {closed_verdict} != polytope {lp_verdict} at {means}",
             )
 
-        if no_signaling:
+        if not closed.signaling:
             summary.checks_run += 1
-            if noncontextual != classic:
+            if noncontextual != closed.classic_satisfied:
                 fail(
                     "classic_reduction",
                     index,
                     child,
-                    f"no-signaling system: generalized {noncontextual} != classic {classic}",
+                    f"no-signaling system: generalized {noncontextual} "
+                    f"!= classic {closed.classic_satisfied}",
                 )
 
     return summary

@@ -114,6 +114,21 @@ class TestAnalyze:
         assert code == 2
         assert "sum to 9/10" in err
 
+    def test_huge_exponent_exit_two_promptly(self, tmp_path):
+        doc = bell_doc("0")
+        doc["pairs"]["21"]["xy"] = "1e1000000000"
+        start = time.perf_counter()
+        code, _, err = run_cli(["analyze", write_doc(tmp_path, "big.json", doc)])
+        assert code == 2 and "'21'" in err and "'xy'" in err
+        assert time.perf_counter() - start < 5
+
+    def test_overlong_json_integer_exit_two(self, tmp_path):
+        path = tmp_path / "long.json"
+        text = json.dumps(bell_doc("0")).replace('"xy": "0"', '"xy": 1' + "0" * 5000, 1)
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(["analyze", str(path)])
+        assert code == 2 and "not valid JSON" in err
+
     def test_missing_file_exit_two(self):
         code, _, err = run_cli(["analyze", "/nonexistent/system.json"])
         assert code == 2 and err
@@ -226,6 +241,17 @@ class TestSweep:
             "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2 and "40401 points" in err
+
+    def test_huge_exponent_bound_exit_two_promptly(self, tmp_path):
+        out_path = tmp_path / "x.csv"
+        start = time.perf_counter()
+        code, _, err = run_cli([
+            "sweep", "--delta", "0:1e1000000000:1", "--epsilon", "0:0:1",
+            "--out", str(out_path),
+        ])
+        assert code == 2 and "exponent" in err
+        assert time.perf_counter() - start < 5
+        assert not out_path.exists()
 
     def test_unknown_family(self, tmp_path):
         code, _, err = run_cli([

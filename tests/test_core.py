@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -175,3 +176,15 @@ class TestAsFraction:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             as_fraction(object())
+
+    def test_rejects_huge_decimal_exponent_promptly(self):
+        start = time.perf_counter()
+        for raw in ("1e1000000000", "2.5E-1000000000", "1e4301"):
+            with pytest.raises(ValueError):
+                as_fraction(raw)
+        assert time.perf_counter() - start < 1
+
+    def test_exponents_within_the_limit_parse(self):
+        assert as_fraction("2.5e-3") == F(1, 400)
+        assert as_fraction("1e4300") == 10**4300
+        assert as_fraction("-1E-4300") == F(-1, 10**4300)

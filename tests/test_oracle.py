@@ -174,3 +174,32 @@ class TestOracleReport:
     def test_feasibility_flag_tracks_criterion(self):
         assert not oracle.report(pr_signaling_family(1, 0)).feasible_at_c0
         assert oracle.report(pr_signaling_family(F(1, 4), 0)).feasible_at_c0
+
+
+class TestCertifiedAnswers:
+    def test_every_solve_is_certified(self, monkeypatch):
+        from contextuality import ratlp
+
+        calls = {"solve": 0, "check": 0}
+
+        def counted(module, name, key):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        # oracle calls its own import of solve, is_feasible reaches ratlp.solve
+        counted(oracle, "solve", "solve")
+        counted(ratlp, "solve", "solve")
+        counted(ratlp, "check_certificate", "check")
+
+        oracle.delta_extrema(random_system("bell", 5))
+        assert calls == {"solve": 2, "check": 2}
+        assert oracle.compatible(pr_signaling_family(F(1, 4), 0), (F(1, 16),) * 4)
+        assert calls == {"solve": 3, "check": 3}
+        verdicts = oracle.compatibility_verdicts(lg_anticorrelated(), (1, 1, 1))
+        assert verdicts == (False, False)
+        assert calls == {"solve": 4, "check": 4}

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,28 @@ class TestDeterminismAndCertificates:
         )
         with pytest.raises(CertificateError):
             check_certificate(lp, forged)
+
+    @pytest.mark.parametrize(
+        "rows, objective, sense, nonneg, forged",
+        [
+            # each forgery keeps the bound y.b and the free reduced costs
+            # right, so exactly one sign rule has to reject it
+            ((((1,), ">=", 3), ((1,), "<=", 3)), (1,), "min", (), (0, 1)),
+            ((((1,), ">=", 3), ((1,), "<=", 3)), (1,), "max", (), (1, 0)),
+            ((((1,), "==", 0),), (0,), "min", ("x",), (1,)),
+            ((((1,), "==", 0),), (0,), "max", ("x",), (-1,)),
+            ((((1,), ">=", 1), ((1,), "<=", 0), ((2,), ">=", 2)), None, "feasibility", (), (3, -1, -1)),
+        ],
+    )
+    def test_certificate_checker_rejects_wrong_multiplier_signs(
+        self, rows, objective, sense, nonneg, forged
+    ):
+        lp = LinearProgram(("x",), rows, objective=objective, sense=sense, nonneg=frozenset(nonneg))
+        out = solve(lp)
+        check_certificate(lp, out)
+        field = "farkas" if out.status == "infeasible" else "dual"
+        with pytest.raises(CertificateError):
+            check_certificate(lp, replace(out, **{field: tuple(F(y) for y in forged)}))
 
     @pytest.mark.parametrize("kind, sense", [("bell", "min"), ("bell", "max"), ("lg", "min"), ("lg", "max")])
     def test_certificates_on_polytope_scale_programs(self, kind, sense):

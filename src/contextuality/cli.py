@@ -40,6 +40,10 @@ EXIT_INPUT_ERROR = 2
 # analysis (and an LP with --oracle), so an unbounded grid runs unbounded.
 MAX_GRID_POINTS = 10_000
 
+# Largest --decimals: every printed value is below 100 in size, so it prints
+# at most K + 2 digits, within CPython's default 4300-digit int-to-string limit.
+MAX_DECIMALS = 4298
+
 _PAIR_KEYS = {kind: tuple(f"{i}{j}" for i, j in cls.PAIRS) for kind, cls in KINDS.items()}
 _CELL_FIELDS = ("pp", "pm", "mp", "mm")
 _EXPECTATION_FIELDS = ("x", "y", "xy")
@@ -66,7 +70,7 @@ def parse_system_document(data: object) -> System:
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object")
     kind = data.get("kind")
-    if kind not in _PAIR_KEYS:
+    if not isinstance(kind, str) or kind not in _PAIR_KEYS:
         raise DocumentError(f"kind must be 'bell' or 'lg', got {kind!r}")
     representation = data.get("representation", "cells")
     if representation not in ("cells", "expectations"):
@@ -201,8 +205,8 @@ def _load_valid(path: str) -> Optional[System]:
 
 
 def cmd_analyze(args) -> int:
-    if args.decimals is not None and args.decimals < 0:
-        return _input_error("--decimals must be nonnegative")
+    if args.decimals is not None and not 0 <= args.decimals <= MAX_DECIMALS:
+        return _input_error(f"--decimals must be between 0 and {MAX_DECIMALS}")
     system = _load_valid(args.input)
     if system is None:
         return EXIT_INPUT_ERROR
@@ -266,8 +270,7 @@ def cmd_sweep(args) -> int:
                 try:
                     system = pr_signaling_family(d, e)
                 except FrechetViolationError:
-                    pad = 3 + (1 if args.oracle else 0) + 2
-                    writer.writerow(row + [""] * pad + ["1"])
+                    writer.writerow(row + [""] * (len(header) - 3) + ["1"])
                     continue
                 report = bell.analyze(system)
                 row += [str(report.delta0), str(report.statistic), str(report.degree)]

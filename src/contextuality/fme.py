@@ -4,7 +4,9 @@ Used to re-derive, for any concrete system, the bounds on the total
 connection mismatch by mechanically projecting the compatibility constraints
 onto the mismatch variable: substitute the mismatch-defining equality, then
 eliminate the connection expectations one by one, pruning redundant rows by
-linear programming between steps.
+linear programming between steps. Both steps cancel a variable the same way,
+by adding a multiple of a pivot row to a positive multiple of each row; an
+elimination that would build over ``MAX_FME_ROWS`` rows raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ from .ratlp import LinearProgram, solve
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
+
+# Largest system one elimination may build: the pairing step multiplies row
+# counts, so an unbounded input would run unbounded. Matches cli.MAX_GRID_POINTS.
+MAX_FME_ROWS = 10_000
 
 Row = tuple[tuple[Fraction, ...], str, Fraction]
 
@@ -84,52 +90,55 @@ class InequalitySystem:
 def _normalized(coeffs: Sequence[Fraction], bound: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
     """Scale a row by a positive rational so the coefficients are a primitive
     integer vector; leaves all-zero rows untouched."""
-    scale = lcm(*(c.denominator for c in coeffs), 1)
-    ints = [int(c * scale) for c in coeffs]
-    content = 0
-    for v in ints:
-        content = gcd(content, abs(v))
+    scale = lcm(*(c.denominator for c in coeffs))
+    content = gcd(*(c.numerator * (scale // c.denominator) for c in coeffs))
     if content == 0:
         return tuple(coeffs), bound
     factor = Fraction(scale, content)
     return tuple(c * factor for c in coeffs), bound * factor
 
 
-def _collect(
-    variables: tuple[str, ...],
-    candidates: list[Row],
-    dropped_before: int,
-) -> InequalitySystem:
-    """Normalize, drop vacuous rows, and collapse duplicate inequality rows
-    onto their tightest bound, preserving first-seen order."""
-    dropped = dropped_before
-    best: dict[tuple, Fraction] = {}
-    order: list[tuple] = []
-    equalities: list[tuple[int, Row]] = []
-    position = 0
-    for coeffs, relation, bound in candidates:
-        if all(c == 0 for c in coeffs):
-            if relation == "==" and bound == 0 or relation == "<=" and bound >= 0:
+def _collect(system: InequalitySystem, idx: int, candidates: list[Row]) -> InequalitySystem:
+    """The rows over ``system``'s variables without column ``idx``: normalized,
+    vacuous rows dropped, duplicate inequality rows collapsed onto their
+    tightest bound, in first-seen order."""
+    dropped = system.dropped_vacuous
+    rows: dict[object, Row] = {}
+    for k, (coeffs, relation, bound) in enumerate(candidates):
+        if not any(coeffs):
+            if bound >= 0 if relation == "<=" else bound == 0:
                 dropped += 1
                 continue
             # an unsatisfiable constant row is kept: it records infeasibility
         coeffs, bound = _normalized(coeffs, bound)
-        if relation == "==":
-            equalities.append((position, (coeffs, relation, bound)))
-            position += 1
-            continue
-        key = coeffs
-        if key in best:
-            if bound < best[key]:
-                best[key] = bound
-        else:
-            best[key] = bound
-            order.append((position, key))
-            position += 1
-    merged: list[tuple[int, Row]] = [(pos, (key, "<=", best[key])) for pos, key in order]
-    merged.extend(equalities)
-    merged.sort(key=lambda item: item[0])
-    return InequalitySystem(variables, tuple(row for _, row in merged), dropped)
+        # each equality row is keyed by its own index, so only inequalities merge
+        key = coeffs if relation == "<=" else k
+        if key not in rows or bound < rows[key][2]:
+            rows[key] = (coeffs, relation, bound)
+    variables = system.variables[:idx] + system.variables[idx + 1 :]
+    return InequalitySystem(variables, tuple(rows.values()), dropped)
+
+
+def _index(system: InequalitySystem, var: str) -> int:
+    if var not in system.variables:
+        raise UnknownVariableError(f"unknown variable {var!r}")
+    return system.variables.index(var)
+
+
+def _combine(row: Row, pivot: Row, idx: int) -> Row:
+    """``|p| * row - sign(p) * r * pivot`` with column ``idx`` dropped, where
+    ``p`` and ``r`` are the pivot's and the row's coefficients on it. The
+    column cancels, and the factor on ``row`` is positive, so a ``<=`` row
+    keeps its direction. A row without the column is only stripped."""
+    coeffs, relation, bound = row
+    pivot_coeffs, _, pivot_bound = pivot
+    r, p = coeffs[idx], pivot_coeffs[idx]
+    if r == 0:
+        return coeffs[:idx] + coeffs[idx + 1 :], relation, bound
+    f, g = abs(p), r if p > 0 else -r
+    combined = [f * x - g * y for x, y in zip(coeffs, pivot_coeffs)]
+    del combined[idx]
+    return tuple(combined), relation, f * bound - g * pivot_bound
 
 
 def eliminate(system: InequalitySystem, var: str) -> InequalitySystem:
@@ -137,34 +146,26 @@ def eliminate(system: InequalitySystem, var: str) -> InequalitySystem:
 
     The output is satisfiable for an assignment of the remaining variables
     exactly when some value of ``var`` satisfied the input. ``var`` must not
-    appear in any equality row; substitute those out first.
+    appear in any equality row; substitute those out first. Raises
+    ``ValueError``, before combining, if it would build over ``MAX_FME_ROWS`` rows.
     """
-    if var not in system.variables:
-        raise UnknownVariableError(f"unknown variable {var!r}")
-    idx = system.variables.index(var)
-    for k, (coeffs, relation, _) in enumerate(system.rows):
-        if relation == "==" and coeffs[idx] != 0:
-            raise UnusablePivotError(
-                f"row {k} is an equality involving {var!r}; substitute it first"
-            )
+    idx = _index(system, var)
     keep: list[Row] = []
-    uppers: list[tuple[tuple[Fraction, ...], Fraction, Fraction]] = []
-    lowers: list[tuple[tuple[Fraction, ...], Fraction, Fraction]] = []
-    for coeffs, relation, bound in system.rows:
-        c = coeffs[idx]
-        stripped = coeffs[:idx] + coeffs[idx + 1 :]
-        if c == 0:
-            keep.append((stripped, relation, bound))
-        elif c > 0:
-            uppers.append((stripped, c, bound))
+    uppers: list[Row] = []
+    lowers: list[Row] = []
+    for k, row in enumerate(system.rows):
+        coeffs, relation, bound = row
+        if coeffs[idx] == 0:
+            keep.append((coeffs[:idx] + coeffs[idx + 1 :], relation, bound))
+        elif relation == "==":
+            raise UnusablePivotError(f"row {k} is an equality involving {var!r}; substitute it first")
         else:
-            lowers.append((stripped, c, bound))
-    for (uc, a, ub), (lc, d, lb) in itertools.product(uppers, lowers):
-        # a > 0, d < 0: (-d) * upper + a * lower cancels the variable
-        coeffs = tuple(-d * x + a * y for x, y in zip(uc, lc))
-        keep.append((coeffs, "<=", -d * ub + a * lb))
-    variables = system.variables[:idx] + system.variables[idx + 1 :]
-    return _collect(variables, keep, system.dropped_vacuous)
+            (uppers if coeffs[idx] > 0 else lowers).append(row)
+    count = len(keep) + len(uppers) * len(lowers)
+    if count > MAX_FME_ROWS:
+        raise ValueError(f"eliminating {var!r} would build {count} rows, over {MAX_FME_ROWS}")
+    keep.extend(_combine(upper, lower, idx) for upper, lower in itertools.product(uppers, lowers))
+    return _collect(system, idx, keep)
 
 
 def substitute_equality(system: InequalitySystem, eq_row_index: int, var: str) -> InequalitySystem:
@@ -172,35 +173,18 @@ def substitute_equality(system: InequalitySystem, eq_row_index: int, var: str) -
 
     The equality row is removed and ``var`` disappears from the system.
     """
-    if var not in system.variables:
-        raise UnknownVariableError(f"unknown variable {var!r}")
-    idx = system.variables.index(var)
-    try:
-        coeffs_eq, relation, bound_eq = system.rows[eq_row_index]
-    except IndexError as exc:
-        raise IndexError(f"no row {eq_row_index}") from exc
-    if relation != "==":
+    idx = _index(system, var)
+    if not 0 <= eq_row_index < len(system.rows):
+        raise IndexError(f"no row {eq_row_index}")
+    pivot = system.rows[eq_row_index]
+    if pivot[1] != "==":
         raise UnusablePivotError(f"row {eq_row_index} is not an equality")
-    a = coeffs_eq[idx]
-    if a == 0:
+    if pivot[0][idx] == 0:
         raise UnusablePivotError(
             f"row {eq_row_index} has zero coefficient on {var!r}; unusable pivot"
         )
-    # var = const + sum(expr[j] * x_j) over the remaining variables
-    expr = [-c / a for j, c in enumerate(coeffs_eq) if j != idx]
-    const = bound_eq / a
-    out: list[Row] = []
-    for k, (coeffs, relation, bound) in enumerate(system.rows):
-        if k == eq_row_index:
-            continue
-        cv = coeffs[idx]
-        stripped = [c for j, c in enumerate(coeffs) if j != idx]
-        if cv:
-            stripped = [c + cv * e for c, e in zip(stripped, expr)]
-            bound = bound - cv * const
-        out.append((tuple(stripped), relation, bound))
-    variables = system.variables[:idx] + system.variables[idx + 1 :]
-    return _collect(variables, out, system.dropped_vacuous)
+    out = [_combine(row, pivot, idx) for k, row in enumerate(system.rows) if k != eq_row_index]
+    return _collect(system, idx, out)
 
 
 def remove_redundant(system: InequalitySystem) -> InequalitySystem:
@@ -235,33 +219,6 @@ def remove_redundant(system: InequalitySystem) -> InequalitySystem:
 # Mismatch-interval derivation by projection
 # ----------------------------------------------------------------------------
 
-def _parity_rows(
-    n_conn: int, bound_even_tau: Fraction, bound_odd_tau: Fraction, n_extra: int
-) -> list[Row]:
-    """One row per sign pattern tau over the connection expectations:
-    tau . t <= (bound depending on tau's parity). ``n_extra`` trailing zero
-    coefficients make room for the mismatch variable."""
-    rows: list[Row] = []
-    for tau in itertools.product((1, -1), repeat=n_conn):
-        minus = sum(1 for t in tau if t < 0)
-        bound = bound_odd_tau if minus % 2 else bound_even_tau
-        rows.append((tuple(Fraction(t) for t in tau) + (_ZERO,) * n_extra, "<=", bound))
-    return rows
-
-
-def _box_rows(marginal_pairs, n_conn: int, n_extra: int) -> list[Row]:
-    """Cell-nonnegativity bounds on each connection expectation."""
-    rows: list[Row] = []
-    for c, (m1, m2) in enumerate(marginal_pairs):
-        unit = [_ZERO] * (n_conn + n_extra)
-        unit[c] = Fraction(-1)
-        rows.append((tuple(unit), "<=", 1 - abs(m1 + m2)))  # t_c >= -1 + |m1+m2|
-        unit = [_ZERO] * (n_conn + n_extra)
-        unit[c] = Fraction(1)
-        rows.append((tuple(unit), "<=", 1 - abs(m1 - m2)))  # t_c <= 1 - |m1-m2|
-    return rows
-
-
 def _instantiated_system(sys: System) -> tuple[InequalitySystem, tuple[str, ...]]:
     """The compatibility constraints of a concrete system, with the connection
     expectations symbolic and the mismatch variable tied to their sum."""
@@ -270,17 +227,23 @@ def _instantiated_system(sys: System) -> tuple[InequalitySystem, tuple[str, ...]
     s_odd = max_signed_sum_odd(prods)
     marg = cyclic.connection_marginal_pairs(sys)
     n = len(marg)
-    conn_vars = tuple(f"t_{k}" for k in range(1, n + 1))
+    rows: list[Row] = []
     # one odd-parity condition over products and connection terms, bounded by
-    # 2n - 2: a tau pattern of parity k needs the complementary parity on the
-    # products part
-    rows = _parity_rows(n, 2 * n - 2 - s_odd, 2 * n - 2 - s_even, 1)
-    rows.extend(_box_rows(marg, n, 1))
+    # 2n - 2: a sign pattern tau over the connection expectations needs the
+    # complementary parity on the products part
+    for tau in itertools.product((1, -1), repeat=n):
+        bound = 2 * n - 2 - (s_even if tau.count(-1) % 2 else s_odd)
+        rows.append((tuple(map(Fraction, tau)) + (_ZERO,), "<=", bound))
+    # cell nonnegativity: -1 + |m1+m2| <= t_c <= 1 - |m1-m2|
+    for c, (m1, m2) in enumerate(marg):
+        for sign, bound in ((-1, 1 - abs(m1 + m2)), (1, 1 - abs(m1 - m2))):
+            unit = [_ZERO] * (n + 1)
+            unit[c] = Fraction(sign)
+            rows.append((tuple(unit), "<=", bound))
     # mismatch = n/2 - (sum of connection expectations)/2
-    eq = tuple([_HALF] * n + [Fraction(1)])
-    rows.append((eq, "==", Fraction(n, 2)))
-    variables = conn_vars + ("delta",)
-    return InequalitySystem(variables, tuple(rows)), conn_vars
+    rows.append((tuple([_HALF] * n + [Fraction(1)]), "==", Fraction(n, 2)))
+    conn_vars = tuple(f"t_{k}" for k in range(1, n + 1))
+    return InequalitySystem(conn_vars + ("delta",), tuple(rows)), conn_vars
 
 
 def project_to_delta(sys: System) -> InequalitySystem:
@@ -309,19 +272,9 @@ def derive_delta_bounds(sys: System) -> tuple[Fraction, Fraction]:
 
 def _interval(projected: InequalitySystem) -> tuple[Fraction, Fraction]:
     """(min, max) of the mismatch read off a system projected onto it."""
-    lo = None
-    hi = None
-    for (c,), relation, bound in projected.rows:
-        if relation == "==":
-            value = bound / c
-            lo = value if lo is None or value > lo else lo
-            hi = value if hi is None or value < hi else hi
-        elif c > 0:
-            value = bound / c
-            hi = value if hi is None or value < hi else hi
-        elif c < 0:
-            value = bound / c
-            lo = value if lo is None or value > lo else lo
-    if lo is None or hi is None:
+    rows = projected.rows
+    lows = [bound / c for (c,), relation, bound in rows if relation == "==" or c < 0]
+    highs = [bound / c for (c,), relation, bound in rows if relation == "==" or c > 0]
+    if not lows or not highs:
         raise RuntimeError("projection produced no two-sided bounds; invalid input system")
-    return (lo, hi)
+    return max(lows), min(highs)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from contextuality import bell, fme
-from contextuality.cli import main, parse_system_document, DocumentError
+from contextuality.cli import MAX_DECIMALS, main, parse_system_document, DocumentError
 from contextuality.core import BellSystem, LGSystem
 from contextuality.generators import pr_signaling_family
 
@@ -90,6 +90,15 @@ class TestParseSystemDocument:
         with pytest.raises(DocumentError):
             parse_system_document({"kind": "ghz", "pairs": {}})
 
+    @pytest.mark.parametrize("kind", [[], {}])
+    def test_non_string_kind_exit_two(self, kind, tmp_path):
+        doc = dict(PR_DOC, kind=kind)
+        with pytest.raises(DocumentError):
+            parse_system_document(doc)
+        for command in ("analyze", "derive"):
+            code, _, err = run_cli([command, write_doc(tmp_path, "k.json", doc)])
+            assert code == 2 and "kind must be" in err
+
 
 class TestAnalyze:
     def test_pr_box_contextual_exit(self, tmp_path):
@@ -150,6 +159,15 @@ class TestAnalyze:
         code, out, _ = run_cli(["analyze", path, "--format", "json", "--decimals", "2"])
         payload = json.loads(out)
         assert payload["values"]["delta_min"] == "1.00"
+
+    def test_decimals_limit(self, tmp_path):
+        path = write_doc(tmp_path, "pr.json", PR_DOC)
+        code, _, err = run_cli(["analyze", path, "--decimals", "4300"])
+        assert code == 2 and f"between 0 and {MAX_DECIMALS}" in err
+        code, out, _ = run_cli(["analyze", path, "--format", "json", "--decimals", "3"])
+        assert code == 1 and json.loads(out)["values"]["delta_max"] == "3.000"
+        code, out, _ = run_cli(["analyze", path, "--decimals", str(MAX_DECIMALS)])
+        assert code == 1 and f"delta_max: 3.{'0' * MAX_DECIMALS}" in out
 
     def test_lg_causal_violation_exit_two(self, tmp_path):
         doc = {

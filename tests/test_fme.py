@@ -1,7 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextuality import bell, lg, oracle
 from contextuality.fme import (
@@ -26,6 +29,30 @@ from contextuality.core import PairDistribution, BellSystem
 from contextuality.ratlp import LinearProgram, is_feasible
 
 F = Fraction
+
+small_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+slack_st = st.fractions(min_value=-1, max_value=3, max_denominator=4)
+
+
+@st.composite
+def substitution_case(draw):
+    """A system over x0, x1, x2 whose equality row at ``index`` is solvable for
+    x0, and a point (x1, x2). Rows are drawn around a point of R^3 so that
+    the point is sometimes feasible and sometimes not."""
+    center = [draw(small_st) for _ in range(3)]
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        coeffs = [draw(small_st) for _ in range(3)]
+        relation = draw(st.sampled_from(("<=", "<=", "==")))
+        slack = draw(slack_st) if relation == "<=" else draw(st.sampled_from((0, 0, 0, F(1, 2))))
+        rows.append((coeffs, relation, sum(c * x for c, x in zip(coeffs, center)) + slack))
+    # fractional, negative and mixed-sign pivots on x0
+    pivot = [draw(small_st.filter(bool)), draw(small_st), draw(small_st)]
+    index = draw(st.integers(0, len(rows)))
+    rows.insert(index, (pivot, "==", sum(c * x for c, x in zip(pivot, center))))
+    shift = draw(st.sampled_from((0, 0, F(1, 3), F(-1, 2))))
+    point = (center[1] + shift, center[2])
+    return InequalitySystem(("x0", "x1", "x2"), tuple(rows)), index, point
 
 
 class TestEliminate:
@@ -57,6 +84,14 @@ class TestEliminate:
         system = InequalitySystem(("x", "y"), (((1, 1), "==", 1),))
         with pytest.raises(UnusablePivotError):
             eliminate(system, "y")
+
+    def test_row_ceiling(self):
+        rows = [((1, k), "<=", k) for k in range(101)] + [((-1, k), "<=", k) for k in range(101)]
+        system = InequalitySystem(("x", "y"), tuple(rows))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="10201 rows"):
+            eliminate(system, "x")
+        assert time.perf_counter() - start < 1
 
     def test_projection_matches_lp_feasibility(self):
         # at sampled points of the remaining variables, satisfying the
@@ -115,6 +150,27 @@ class TestSubstituteEquality:
         system = InequalitySystem(("x",), (((1,), "<=", 3),))
         with pytest.raises(UnusablePivotError):
             substitute_equality(system, 0, "x")
+
+    @pytest.mark.parametrize("index", [-1, -2, 2])
+    def test_row_index_out_of_range(self, index):
+        system = InequalitySystem(("x", "y"), (((1, 0), "<=", 1), ((1, 1), "==", 3)))
+        with pytest.raises(IndexError, match=f"no row {index}"):
+            substitute_equality(system, index, "x")
+
+    @settings(max_examples=100, deadline=None)
+    @given(substitution_case())
+    def test_substitution_matches_lp_feasibility(self, case):
+        # at a point (x1, x2), the reduced system must hold exactly when the
+        # original system, with x1 and x2 pinned there, is satisfiable
+        system, index, point = case
+        reduced = substitute_equality(system, index, "x0")
+        assert reduced.variables == ("x1", "x2")
+        holds = True
+        for coeffs, relation, bound in reduced.rows:
+            lhs = sum((c * x for c, x in zip(coeffs, point)), F(0))
+            holds &= lhs == bound if relation == "==" else lhs <= bound
+        pinned = list(system.rows) + [((0, 1, 0), "==", point[0]), ((0, 0, 1), "==", point[1])]
+        assert holds == is_feasible(LinearProgram(system.variables, tuple(pinned)))
 
     def test_mismatch_equality_expansion_by_hand(self):
         # substituting t1 = 4 - 2 d - t2 into the pattern row t1 - t2 <= 3/2

@@ -122,9 +122,20 @@ def load_system(path: str) -> System:
     return parse_system_document(data)
 
 
+class UnprintableValueError(ValueError):
+    """An exact result has a term too long for CPython to print."""
+
+
 def _fmt(value: Fraction, decimals: Optional[int]) -> str:
     if decimals is None:
-        return str(value)
+        try:
+            return str(value)
+        except ValueError as exc:  # CPython's int-to-string digit limit
+            raise UnprintableValueError(
+                "an exact result has a numerator or denominator over CPython's "
+                f"{sys.get_int_max_str_digits()}-digit limit for printing integers; "
+                "pass --decimals K to print rounded values"
+            ) from exc
     rounded = round(value, decimals)
     scaled = abs(rounded) * 10**decimals
     digits = str(int(scaled)).rjust(decimals + 1, "0")
@@ -216,6 +227,8 @@ def cmd_analyze(args) -> int:
         )
     except CausalityViolationError as exc:
         return _input_error(f"{exc} (pass --no-causal for the generalized treatment)")
+    except UnprintableValueError as exc:
+        return _input_error(str(exc))
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:

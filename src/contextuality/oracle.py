@@ -132,21 +132,37 @@ def _unequal_rows(kind: str) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _coupling_lp(
-    sys: System, pinned=(), objective=None, sense: str = "feasibility"
-) -> LinearProgram:
-    """Atoms q >= 0 reproducing every observed cell of ``sys``, with each
-    extra ``(row, value)`` in ``pinned`` held as ``row . q == value``."""
-    vm = build_vertex_matrix(sys.KIND)
-    names = _atom_names(sys.KIND)
-    constraints = (*zip(vm.entries, observed_vector(sys)), *pinned)
+def _connection_rows(kind: str) -> tuple[tuple[int, ...], ...]:
+    """The connection cell rows of the vertex matrix."""
+    vm = build_vertex_matrix(kind)
+    return vm.entries[vm.n_observed_rows :]
+
+
+@lru_cache(maxsize=None)
+def _template(kind: str, pinned, sense: str) -> LinearProgram:
+    """The coupling program of ``kind`` with every bound 0, compiled once.
+
+    Atoms q >= 0, one equality per observed cell, then one per row of
+    ``pinned(kind)`` (``_unequal_rows`` or ``_connection_rows``) if given.
+    A "min" or "max" program extremizes the total mismatch. Each 0/1 entry
+    is one shared ``Fraction``, so a template costs one reference per entry.
+    """
+    vm = build_vertex_matrix(kind)
+    names = _atom_names(kind)
+    rows = vm.entries[: vm.n_observed_rows] + (pinned(kind) if pinned else ())
     return LinearProgram(
         names,
-        tuple((row, "==", value) for row, value in constraints),
-        objective=objective,
+        tuple((tuple((_ZERO, _ONE)[e] for e in row), "==", _ZERO) for row in rows),
+        objective=None if sense == "feasibility" else tuple(map(sum, zip(*_unequal_rows(kind)))),
         sense=sense,
         nonneg=frozenset(names),
     )
+
+
+def _coupling_lp(sys: System, pinned=None, values=(), sense: str = "feasibility") -> LinearProgram:
+    """Atoms q >= 0 reproducing every observed cell of ``sys``, with row k
+    of ``pinned(sys.KIND)`` held as ``row . q == values[k]``."""
+    return _template(sys.KIND, pinned, sense).with_bounds((*observed_vector(sys), *values))
 
 
 def compatible(sys: System, connections: Sequence) -> bool:
@@ -160,13 +176,12 @@ def compatible(sys: System, connections: Sequence) -> bool:
     conn = [as_fraction(c) for c in connections]
     if len(conn) != len(uneq):
         raise ValueError(f"expected {len(uneq)} connection probabilities, got {len(conn)}")
-    return is_feasible(_coupling_lp(sys, zip(uneq, conn)))
+    return is_feasible(_coupling_lp(sys, _unequal_rows, conn))
 
 
 def _delta_outcomes(sys: System) -> tuple[LPOutcome, LPOutcome]:
     """The optimal outcomes minimizing and maximizing the total mismatch."""
-    total = tuple(map(sum, zip(*_unequal_rows(sys.KIND))))
-    lo, hi = (solve(_coupling_lp(sys, objective=total, sense=s)) for s in ("min", "max"))
+    lo, hi = (solve(_coupling_lp(sys, sense=s)) for s in ("min", "max"))
     if lo.status != "optimal" or hi.status != "optimal":
         raise InternalInconsistencyError(
             f"mismatch extremization reported {lo.status}/{hi.status}; "
@@ -251,7 +266,5 @@ def compatibility_verdicts(
     # LP route: pin all 32 (24) event probabilities, including the connection
     # cells computed directly from the requested expectations. A cell that
     # comes out negative simply makes the program infeasible.
-    vm = build_vertex_matrix(sys.KIND)
     cells = [c for (m1, m2), t in zip(marg, means) for c in _raw_cells(m1, m2, t)]
-    lp = _coupling_lp(sys, zip(vm.entries[vm.n_observed_rows :], cells))
-    return (closed, is_feasible(lp))
+    return (closed, is_feasible(_coupling_lp(sys, _connection_rows, cells)))

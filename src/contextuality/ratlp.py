@@ -4,18 +4,34 @@ Two-phase primal simplex with Dantzig pricing that falls back to Bland's
 anti-cycling rule after a run of degenerate pivots. The tableau is kept
 fraction-free: entries are integers sharing a single denominator (the
 determinant of the current basis), so a pivot needs only integer
-multiply/subtract and one exact division per cell. Optimal solves carry a
-rational dual certificate, infeasible solves a Farkas certificate. Every
-answer is certified before it is returned: an optimum by its witness (checked
-against every constraint) and its dual (strong duality), an infeasibility by
-its Farkas vector.
+multiply/subtract and one exact division per cell.
+
+The integers stay as small as the coefficients. Each constraint row is
+scaled by ``s_k``, the lcm of its coefficient denominators only, and the
+bounds by one program-wide factor ``L`` that clears the rest of their
+denominators: the tableau solves for ``x' = L x``, so only its rhs column
+carries the bounds' denominators, and the witness and optimum are divided by
+``L`` on the way out. Artificial ``k`` costs ``lcm(s_k, d_k) / s_k`` in
+phase 1 (``d_k`` its bound's denominator), which is the phase-1 objective of
+rows scaled by all their denominators, up to the factor ``L``: a program of
+equality rows pivots exactly as it would on that fully scaled tableau.
+
+The integer form of the coefficient rows is computed once per program and
+shared by every program ``LinearProgram.with_bounds`` derives from it, so a
+fixed constraint matrix solved against many right-hand sides is read and
+scaled once.
+
+Optimal solves carry a rational dual certificate, infeasible solves a Farkas
+certificate. Every answer is certified before it is returned: an optimum by
+its witness (checked against every constraint) and its dual (strong
+duality), an infeasibility by its Farkas vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .core import as_fraction
@@ -98,6 +114,57 @@ class LinearProgram:
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "nonneg", nonneg)
 
+    def with_bounds(self, bounds) -> LinearProgram:
+        """This program with the constraint bounds replaced by ``bounds``.
+
+        The coefficient rows, already validated, are shared with ``self``,
+        and so is their integer form, which is computed once for every
+        program derived this way.
+        """
+        bounds = tuple(bounds)
+        if len(bounds) != len(self.constraints):
+            raise LPConstructionError(
+                f"{len(bounds)} bounds for {len(self.constraints)} constraints"
+            )
+        rows = tuple(
+            (coeffs, relation, as_fraction(bound))
+            for (coeffs, relation, _), bound in zip(self.constraints, bounds)
+        )
+        _compiled(self)
+        # Every field but the constraints, and the cached integer form, is
+        # shared; the coefficients were validated when ``self`` was built.
+        program = object.__new__(LinearProgram)
+        program.__dict__.update(self.__dict__, constraints=rows)
+        return program
+
+
+def _compiled(lp: LinearProgram):
+    """``(cols, rows)``, the integer form of ``lp``'s coefficient rows.
+
+    ``cols`` lists the structural columns as ``(variable, sign)``: one per
+    nonnegative variable, a split pair per free one. Each row is
+    ``(s, scaled, nonzeros)``: ``s`` the lcm of the row's coefficient
+    denominators, ``scaled`` the row times ``s`` over the structural
+    columns, and ``nonzeros`` its ``(index, coefficient)`` pairs as stated.
+    Cached on ``lp``, and shared by ``with_bounds``.
+    """
+    compiled = lp.__dict__.get("_compiled")
+    if compiled is None:
+        cols = []
+        for j, name in enumerate(lp.variables):
+            cols.append((j, 1))
+            if name not in lp.nonneg:
+                cols.append((j, -1))
+        rows = []
+        for coeffs, _, _ in lp.constraints:
+            s = lcm(*(c.denominator for c in coeffs))
+            a = [c.numerator * (s // c.denominator) for c in coeffs]
+            nonzeros = tuple((j, c) for j, c in enumerate(coeffs) if c)
+            rows.append((s, tuple(a[var] * sign for var, sign in cols), nonzeros))
+        compiled = (tuple(cols), tuple(rows))
+        object.__setattr__(lp, "_compiled", compiled)
+    return compiled
+
 
 @dataclass(frozen=True)
 class LPOutcome:
@@ -158,22 +225,29 @@ def _simplex(lp: LinearProgram) -> LPOutcome:
         minimize = list(lp.objective)
     else:
         minimize = [-c for c in lp.objective]
-
-    # Structural columns: one per nonnegative variable, a split pair per free one.
-    cols: list[tuple[int, int]] = []
-    for j, name in enumerate(lp.variables):
-        cols.append((j, 1))
-        if name not in lp.nonneg:
-            cols.append((j, -1))
+    cols, scaled_rows = _compiled(lp)
     n_struct = len(cols)
 
-    # Tableau columns: struct | slack | rhs | artificial. Each constraint
-    # becomes one integer row, scaled by the lcm of its denominators and
-    # signed so that its bound is nonnegative; ``restate[k]`` (sign times
-    # scale) maps the row's multiplier back to the constraint as stated.
-    # Each row starts basic in a unit column (its slack when that enters
-    # with +1, else a fresh artificial), where its dual value is read.
+    # Row k is constraint k times s_k, the lcm of its coefficient
+    # denominators, with every rhs also times L: the tableau solves for
+    # x' = L x. With d_k the bound's denominator, c_k = lcm(s_k, d_k) / s_k
+    # is the part of d_k that s_k leaves, and L = lcm of all c_k makes every
+    # rhs an integer. Artificial k costs c_k in phase 1, which makes the
+    # phase-1 objective L times the sum of artificials of rows scaled by
+    # lcm(s_k, d_k): equality rows pivot as they would on that tableau, while
+    # every entry outside the rhs column stays as small as the coefficients.
     m = len(lp.constraints)
+    costs = [
+        bound.denominator // gcd(s, bound.denominator)
+        for (s, _, _), (_, _, bound) in zip(scaled_rows, lp.constraints)
+    ]
+    L = lcm(*costs)
+
+    # Tableau columns: struct | slack | rhs | artificial. Each row is signed
+    # so that its rhs is nonnegative; ``restate[k]`` (sign times s_k) maps
+    # the row's multiplier back to the constraint as stated. Each row starts
+    # basic in a unit column (its slack when that enters with +1, else a
+    # fresh artificial), where its dual value is read.
     n_real = n_struct + sum(relation != "==" for _, relation, _ in lp.constraints)
     rhs = n_real
     tab: list[list[int]] = []
@@ -181,13 +255,14 @@ def _simplex(lp: LinearProgram) -> LPOutcome:
     restate: list[int] = []
     art_rows: list[int] = []
     slack = n_struct
-    for k, (coeffs, relation, bound) in enumerate(lp.constraints):
-        scale = lcm(*(c.denominator for c in coeffs), bound.denominator)
-        b = bound.numerator * (scale // bound.denominator)
+    for k, ((s, scaled, _), (_, relation, bound)) in enumerate(zip(scaled_rows, lp.constraints)):
+        c = costs[k]
+        b = bound.numerator * (s * c // bound.denominator) * (L // c)
         to_le = -1 if relation == ">=" else 1
         flip = to_le if to_le * b >= 0 else -to_le
-        a = [flip * c.numerator * (scale // c.denominator) for c in coeffs]
-        row = [a[var] * sign for var, sign in cols] + [0] * (n_real - n_struct) + [flip * b]
+        row = list(scaled) if flip == 1 else [-v for v in scaled]
+        row += [0] * (n_real - n_struct)
+        row.append(flip * b)
         unit = -1
         if relation != "==":
             row[slack] = flip * to_le
@@ -200,7 +275,7 @@ def _simplex(lp: LinearProgram) -> LPOutcome:
             art_rows.append(k)
         tab.append(row)
         basis.append(unit)
-        restate.append(flip * scale)
+        restate.append(flip * s)
     n_art = len(art_rows)
     width = n_real + 1 + n_art
     for row in tab:
@@ -215,9 +290,10 @@ def _simplex(lp: LinearProgram) -> LPOutcome:
         tab.append([scaled[var] * sign for var, sign in cols] + [0] * (width - n_struct))
     Z1 = -1
     if n_art:
-        z1 = [0] * (n_real + 1) + [1] * n_art
+        z1 = [0] * (n_real + 1) + [costs[k] for k in art_rows]
         for k in art_rows:
-            z1 = [zc - tc for zc, tc in zip(z1, tab[k])]
+            c = costs[k]
+            z1 = [zc - c * tc for zc, tc in zip(z1, tab[k])]
         Z1 = len(tab)
         tab.append(z1)
 
@@ -280,10 +356,10 @@ def _simplex(lp: LinearProgram) -> LPOutcome:
             raise SolverError("phase-1 program reported unbounded")
         if tab[Z1][rhs] != 0:
             # Infeasible: the phase-1 duals give a Farkas certificate.
-            # An artificial unit column costs 1 in phase 1, a slack costs 0.
+            # Artificial k's unit column costs c_k in phase 1, a slack 0.
             farkas = []
             for k, unit in enumerate(units):
-                y = (unit > rhs) - Fraction(tab[Z1][unit], den)
+                y = (costs[k] if unit > rhs else 0) - Fraction(tab[Z1][unit], den)
                 farkas.append(y * restate[k])
             return LPOutcome(status="infeasible", farkas=tuple(farkas))
         tab.pop(Z1)  # the phase-1 row is dead from here on
@@ -303,13 +379,13 @@ def _simplex(lp: LinearProgram) -> LPOutcome:
         if status == "unbounded":
             return LPOutcome(status="unbounded")
 
-    # Extract the witness in original variable space.
+    # Extract the witness in original variable space (x = x' / L).
     values = [_ZERO] * n_vars
     for i in range(m):
         b = basis[i]
         if b < n_struct:
             var, sign = cols[b]
-            values[var] += sign * Fraction(tab[i][rhs], den)
+            values[var] += sign * Fraction(tab[i][rhs], den * L)
     witness = {name: values[j] for j, name in enumerate(lp.variables)}
 
     if lp.sense == "feasibility":
@@ -317,7 +393,7 @@ def _simplex(lp: LinearProgram) -> LPOutcome:
             status="optimal", optimum=_ZERO, witness=witness, dual=(_ZERO,) * m
         )
 
-    objective_value = -Fraction(tab[Z2][rhs], den) / obj_scale
+    objective_value = -Fraction(tab[Z2][rhs], den * L) / obj_scale
     dual = []
     for k, unit in enumerate(units):
         y = -Fraction(tab[Z2][unit], den) / obj_scale
@@ -338,13 +414,12 @@ def is_feasible(lp: LinearProgram) -> bool:
     return solve(probe).status == "optimal"
 
 
-def _row_value(coeffs, variables, witness) -> Fraction:
+def _row_value(nonzeros, values) -> Fraction:
     total = _ZERO
-    for c, name in zip(coeffs, variables):
-        if c:
-            v = witness[name]
-            if v:
-                total += c * v
+    for j, c in nonzeros:
+        v = values[j]
+        if v:
+            total += c * v
     return total
 
 
@@ -352,8 +427,10 @@ def _check_witness(lp: LinearProgram, witness: dict[str, Fraction]) -> None:
     for name in lp.nonneg:
         if witness[name] < 0:
             raise CertificateError(f"witness violates {name} >= 0")
-    for k, (coeffs, relation, bound) in enumerate(lp.constraints):
-        value = _row_value(coeffs, lp.variables, witness)
+    values = [witness[name] for name in lp.variables]
+    _, rows = _compiled(lp)
+    for k, ((_, _, nonzeros), (_, relation, bound)) in enumerate(zip(rows, lp.constraints)):
+        value = _row_value(nonzeros, values)
         ok = (
             value <= bound
             if relation == "<="
@@ -381,13 +458,15 @@ def _check_multipliers(
         raise CertificateError("missing or mis-sized multipliers")
     combo = [_ZERO] * len(lp.variables)
     total = _ZERO
-    for k, (yk, (coeffs, relation, bound)) in enumerate(zip(y, lp.constraints)):
+    _, rows = _compiled(lp)
+    for k, (yk, (_, _, nonzeros), (_, relation, bound)) in enumerate(
+        zip(y, rows, lp.constraints)
+    ):
         if relation == "<=" and sign * yk > 0 or relation == ">=" and sign * yk < 0:
             raise CertificateError(f"multiplier sign condition violated on constraint {k}")
         if yk:
-            for j, c in enumerate(coeffs):
-                if c:
-                    combo[j] += yk * c
+            for j, c in nonzeros:
+                combo[j] += yk * c
             total += yk * bound
     for j, name in enumerate(lp.variables):
         reduced = objective[j] - combo[j]
@@ -420,7 +499,8 @@ def check_certificate(lp: LinearProgram, outcome: LPOutcome) -> None:
         raise CertificateError("optimal outcome must carry witness, dual, and optimum")
     _check_witness(lp, outcome.witness)
     objective = lp.objective or zero
-    attained = _row_value(objective, lp.variables, outcome.witness)
+    values = [outcome.witness[name] for name in lp.variables]
+    attained = _row_value(enumerate(objective), values)
     if attained != outcome.optimum:
         raise CertificateError(f"witness attains {attained}, claimed {outcome.optimum}")
     bound = _check_multipliers(lp, outcome.dual, objective, -1 if lp.sense == "max" else 1)

@@ -169,6 +169,19 @@ class TestAnalyze:
         code, out, _ = run_cli(["analyze", path, "--decimals", str(MAX_DECIMALS)])
         assert code == 1 and f"delta_max: 3.{'0' * MAX_DECIMALS}" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unprintable_exact_value_exit_two(self, fmt, tmp_path):
+        # 1e-4300 is a legal input whose exact results have denominators
+        # over CPython's 4300-digit int-to-string limit
+        doc = bell_doc("0")
+        doc["pairs"]["11"]["xy"] = "1e-4300"
+        path = write_doc(tmp_path, "tiny.json", doc)
+        code, out, err = run_cli(["analyze", path, "--format", fmt])
+        assert code == 2 and not out
+        assert "4300-digit limit" in err and "--decimals" in err
+        code, out, _ = run_cli(["analyze", path, "--format", fmt, "--decimals", "3"])
+        assert code == 0 and "0.000" in out
+
     def test_lg_causal_violation_exit_two(self, tmp_path):
         doc = {
             "kind": "lg",

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from contextuality import bell, lg, oracle
-from contextuality.core import PairDistribution, BellSystem
+from contextuality import bell, cyclic, lg, oracle, ratlp
+from contextuality.core import KINDS, PairDistribution, BellSystem, validate
 from contextuality.generators import (
+    DENOMINATOR_BOUND,
     deterministic_bell,
     deterministic_lg,
     lg_anticorrelated,
@@ -203,3 +205,74 @@ class TestCertifiedAnswers:
         verdicts = oracle.compatibility_verdicts(lg_anticorrelated(), (1, 1, 1))
         assert verdicts == (False, False)
         assert calls == {"solve": 4, "check": 4}
+
+
+class TestCompiledPrograms:
+    def test_no_program_built_per_system(self, monkeypatch):
+        def run(kind, seed):
+            sys = random_system(kind, seed)
+            oracle.delta_extrema(sys)
+            oracle.compatible(sys, cyclic.minimal_connections(sys).components())
+            oracle.compatibility_verdicts(sys, random_connection_means(sys, seed, False))
+
+        for kind in ("bell", "lg"):
+            run(kind, 1)  # warm-up: one template per program shape
+        built = []
+        post_init = ratlp.LinearProgram.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ratlp.LinearProgram, "__post_init__", counted)
+        ratlp.LinearProgram(("x",), ())
+        assert len(built) == 1  # the counter sees a constructor call
+        for kind in ("bell", "lg"):
+            for seed in (2, 3):
+                run(kind, seed)
+        assert len(built) == 1
+
+
+def _edge_pair(rng: random.Random, mode: str) -> PairDistribution:
+    """A pair with one to three zero cells ("zeros"), with every cell count
+    near the sampler's bound ("near"), or perfectly correlated ("box") or
+    anticorrelated ("anti") with near-bound counts on the two cells left."""
+    near = [DENOMINATOR_BOUND - rng.randint(0, 5) for _ in range(4)]
+    if mode == "zeros":
+        counts = [rng.randint(1, DENOMINATOR_BOUND) for _ in range(4)]
+        for i in rng.sample(range(4), rng.randint(1, 3)):
+            counts[i] = 0
+    elif mode == "near":
+        counts = near
+    else:
+        counts = [0, near[1], near[2], 0] if mode == "anti" else [near[0], 0, 0, near[3]]
+    total = sum(counts)
+    return PairDistribution(*(Fraction(c, total) for c in counts))
+
+
+class TestDegenerateInputs:
+    # zero cells make ties in the ratio test and redundant rows; near-bound
+    # denominators (up to 4 * DENOMINATOR_BOUND) make the rhs factor and the
+    # phase-1 costs large; one anticorrelated pair among correlated ones
+    # makes the system contextual
+    @pytest.mark.parametrize("kind, seed", [("bell", 401), ("lg", 409)])
+    def test_report_matches_closed_forms(self, kind, seed):
+        rng = random.Random(seed)
+        n = len(KINDS[kind].PAIRS)
+        contextual = 0
+        for i in range(12):
+            if i % 3 == 2:
+                modes = ["box"] * (n - 1) + ["anti"]
+            else:
+                modes = [("zeros", "near")[(i + j) % 2] for j in range(n)]
+            sys = KINDS[kind](*(_edge_pair(rng, mode) for mode in modes))
+            assert not validate(sys)
+            result = oracle.report(sys, causal=False)
+            assert (result.delta_min, result.delta_max) == cyclic.delta_interval(sys), i
+            assert result.feasible_at_c0 == cyclic.is_noncontextual(sys), i
+            contextual += not result.feasible_at_c0
+            for inside in (True, False):
+                means = random_connection_means(sys, 1000 * seed + i, inside)
+                closed, by_lp = oracle.compatibility_verdicts(sys, means)
+                assert closed == by_lp, (i, means)
+        assert 0 < contextual < 12

@@ -3,6 +3,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextuality.ratlp import (
     CertificateError,
@@ -250,3 +252,133 @@ class TestDeterminismAndCertificates:
         out = solve(lp)
         assert out.status == "optimal"
         check_certificate(lp, out)
+
+
+# Bound denominators from 1 to a 61-bit prime, so that the rhs factor L and
+# the phase-1 costs c_k = lcm(s_k, d_k) / s_k range from 1 to very large.
+_DENOMINATORS = (1, 2, 3, 7, 64, 97, 10**6 + 3, 2**61 - 1)
+_coefficients = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3, 5)))
+_bounds = st.one_of(
+    st.just(F(0)),  # degenerate: rows through the origin
+    st.builds(F, st.integers(-9, 9), st.sampled_from(_DENOMINATORS)),
+)
+_box_halves = st.builds(F, st.integers(0, 12), st.sampled_from(_DENOMINATORS))
+
+
+@st.composite
+def bounded_programs(draw):
+    """Small programs over 1-3 variables, every variable boxed so that the
+    optimum sits at a vertex ``brute_force_lp`` enumerates."""
+    n = draw(st.integers(1, 3))
+    names = tuple(f"x{j}" for j in range(n))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.tuples(*[_coefficients] * n),
+                st.sampled_from(("<=", "==", ">=")),
+                _bounds,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    for j in range(n):
+        unit = tuple(F(k == j) for k in range(n))
+        rows.append((unit, "<=", draw(_box_halves)))
+        rows.append((unit, ">=", -draw(_box_halves)))
+    sense = draw(st.sampled_from(("min", "max", "feasibility")))
+    objective = None if sense == "feasibility" else draw(st.tuples(*[_coefficients] * n))
+    nonneg = frozenset(draw(st.sets(st.sampled_from(names))))
+    return LinearProgram(names, tuple(rows), objective=objective, sense=sense, nonneg=nonneg)
+
+
+class TestAgainstBruteForce:
+    @settings(max_examples=200, deadline=None)
+    @given(bounded_programs())
+    def test_status_and_optimum(self, lp):
+        out = solve(lp)
+        feasible, best = brute_force_lp(lp)
+        assert out.status == ("optimal" if feasible else "infeasible")
+        if best is not None:
+            assert out.optimum == best
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        bounded_programs(),
+        st.integers(0, 10**6),
+        st.builds(F, st.integers(1, 10**6), st.sampled_from(_DENOMINATORS)),
+    )
+    def test_row_scale_invariance(self, lp, pick, factor):
+        k = pick % len(lp.constraints)
+        coeffs, relation, bound = lp.constraints[k]
+        rows = list(lp.constraints)
+        rows[k] = (tuple(factor * c for c in coeffs), relation, factor * bound)
+        scaled = replace(lp, constraints=tuple(rows))
+        out, scaled_out = solve(lp), solve(scaled)
+        assert (scaled_out.status, scaled_out.optimum) == (out.status, out.optimum)
+
+
+def _mixed_program():
+    rows = (
+        ((1, F(1, 2), 0), "<=", 4),
+        ((F(2, 3), -1, 1), ">=", F(-1, 7)),
+        ((1, 1, 1), "==", F(5, 2)),
+        ((0, F(3, 4), -2), "<=", 0),
+    )
+    return LinearProgram(
+        ("x", "y", "z"), rows, objective=(1, -2, F(1, 3)), sense="max", nonneg=frozenset("xy")
+    )
+
+
+class TestWithBounds:
+    @pytest.mark.parametrize(
+        "bounds",
+        [(4, F(-1, 7), F(5, 2), 0), ("1/3", 0, 2, F(-1, 10**6 + 3)), (0, 0, 0, 0), (-1, 9, 1, 1)],
+    )
+    def test_equals_a_fresh_program(self, bounds):
+        lp = _mixed_program()
+        derived = lp.with_bounds(bounds)
+        fresh = LinearProgram(
+            lp.variables,
+            tuple((c, r, b) for (c, r, _), b in zip(lp.constraints, bounds)),
+            objective=lp.objective,
+            sense=lp.sense,
+            nonneg=lp.nonneg,
+        )
+        assert derived == fresh
+        assert repr(solve(derived)) == repr(solve(fresh))
+        # the template itself is left as it was
+        assert lp == _mixed_program()
+
+    @pytest.mark.parametrize("kind", ["bell", "lg"])
+    def test_polytope_template(self, kind):
+        from contextuality import oracle
+        from contextuality.generators import random_system
+
+        vm = oracle.build_vertex_matrix(kind)
+        names = tuple(f"q{k}" for k in range(vm.n_atoms))
+        rows = vm.entries[: vm.n_observed_rows]
+        template = LinearProgram(
+            names, tuple((row, "==", 0) for row in rows), nonneg=frozenset(names)
+        )
+        for seed in (3, 5):
+            p = oracle.observed_vector(random_system(kind, seed))
+            fresh = LinearProgram(
+                names, tuple(zip(rows, ("==",) * len(rows), p)), nonneg=frozenset(names)
+            )
+            derived = template.with_bounds(p)
+            assert derived == fresh
+            assert repr(solve(derived)) == repr(solve(fresh))
+
+    @pytest.mark.parametrize("count", [3, 5, 0])
+    def test_rejects_wrong_length(self, count):
+        with pytest.raises(LPConstructionError, match=f"{count} bounds for 4 constraints"):
+            _mixed_program().with_bounds((0,) * count)
+
+    @pytest.mark.parametrize("bad", ["three", "1/0", None, object()])
+    def test_rejects_unreadable_bound_as_the_constructor_does(self, bad):
+        lp = _mixed_program()
+        with pytest.raises(Exception) as built:
+            LinearProgram(lp.variables, (((1, 0, 0), "<=", bad),))
+        with pytest.raises(built.type):
+            lp.with_bounds((0, bad, 0, 0))

@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional
 
@@ -126,16 +127,22 @@ class UnprintableValueError(ValueError):
     """An exact result has a term too long for CPython to print."""
 
 
-def _fmt(value: Fraction, decimals: Optional[int]) -> str:
+@contextmanager
+def _printing_exact():
+    """Report CPython's int-to-string digit limit as ``UnprintableValueError``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UnprintableValueError(
+            "an exact result has a numerator or denominator over CPython's "
+            f"{sys.get_int_max_str_digits()}-digit limit for printing integers"
+        ) from exc
+
+
+def _fmt(value: Fraction, decimals: Optional[int] = None) -> str:
     if decimals is None:
-        try:
+        with _printing_exact():
             return str(value)
-        except ValueError as exc:  # CPython's int-to-string digit limit
-            raise UnprintableValueError(
-                "an exact result has a numerator or denominator over CPython's "
-                f"{sys.get_int_max_str_digits()}-digit limit for printing integers; "
-                "pass --decimals K to print rounded values"
-            ) from exc
     rounded = round(value, decimals)
     scaled = abs(rounded) * 10**decimals
     digits = str(int(scaled)).rjust(decimals + 1, "0")
@@ -227,8 +234,6 @@ def cmd_analyze(args) -> int:
         )
     except CausalityViolationError as exc:
         return _input_error(f"{exc} (pass --no-causal for the generalized treatment)")
-    except UnprintableValueError as exc:
-        return _input_error(str(exc))
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -279,16 +284,16 @@ def cmd_sweep(args) -> int:
         writer.writerow(header)
         for d in deltas:
             for e in epsilons:
-                row = [str(d), str(e)]
+                row = [_fmt(d), _fmt(e)]
                 try:
                     system = pr_signaling_family(d, e)
                 except FrechetViolationError:
                     writer.writerow(row + [""] * (len(header) - 3) + ["1"])
                     continue
                 report = bell.analyze(system)
-                row += [str(report.delta0), str(report.statistic), str(report.degree)]
+                row += [_fmt(report.delta0), _fmt(report.statistic), _fmt(report.degree)]
                 if args.oracle:
-                    row.append(str(oracle.degree(system)))
+                    row.append(_fmt(oracle.degree(system)))
                 row += [
                     "1" if report.classic_satisfied else "0",
                     "1" if not report.signaling else "0",
@@ -334,9 +339,12 @@ def cmd_derive(args) -> int:
         return EXIT_INPUT_ERROR
     projected = fme.project_to_delta(system)
     lo, hi = fme._interval(projected)
+    with _printing_exact():
+        text = projected.format()
+        interval = f"interval: [{lo}, {hi}]"
     print(f"projected mismatch constraints ({system.KIND}):")
-    print(projected.format())
-    print(f"interval: [{lo}, {hi}]")
+    print(text)
+    print(interval)
     return 0
 
 
@@ -402,7 +410,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on flag errors, matching the input-error code
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UnprintableValueError as exc:
+        hint = "; pass --decimals K to print rounded values" if "decimals" in args else ""
+        return _input_error(f"{exc}{hint}")
 
 
 if __name__ == "__main__":

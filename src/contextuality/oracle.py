@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Sequence
 
 from . import cyclic
@@ -123,33 +124,25 @@ def _atom_names(kind: str) -> tuple[str, ...]:
 def _unequal_rows(kind: str) -> tuple[tuple[int, ...], ...]:
     """Per connection, the 0/1 atom indicator of the two variables differing."""
     vm = build_vertex_matrix(kind)
-    base = vm.n_observed_rows
-    out = []
-    for c in range(len(vm.row_labels[base:]) // 4):
-        plus_minus = vm.entries[base + 4 * c + 1]
-        minus_plus = vm.entries[base + 4 * c + 2]
-        out.append(tuple(a + b for a, b in zip(plus_minus, minus_plus)))
-    return tuple(out)
-
-
-def _connection_rows(kind: str) -> tuple[tuple[int, ...], ...]:
-    """The connection cell rows of the vertex matrix."""
-    vm = build_vertex_matrix(kind)
-    return vm.entries[vm.n_observed_rows :]
+    cells = vm.entries[vm.n_observed_rows :]  # (+,+), (+,-), (-,+), (-,-) per connection
+    return tuple(tuple(map(add, pm, mp)) for pm, mp in zip(cells[1::4], cells[2::4]))
 
 
 @lru_cache(maxsize=None)
-def _template(kind: str, pinned, sense: str) -> LinearProgram:
+def _template(kind: str, sense: str) -> LinearProgram:
     """The coupling program of ``kind`` with every bound 0, compiled once.
 
-    Atoms q >= 0, one equality per observed cell, then one per row of
-    ``pinned(kind)`` (``_unequal_rows`` or ``_connection_rows``) if given.
-    A "min" or "max" program extremizes the total mismatch. Each 0/1 entry
-    is one shared ``Fraction``, so a template costs one reference per entry.
+    Atoms q >= 0 and one equality per observed cell. A "feasibility" program
+    also pins each connection's mismatch row (``_unequal_rows``); a "min" or
+    "max" program extremizes their sum instead. A connection's four cells lie
+    in the span of the observed rows and its mismatch row, so that pin fixes
+    its whole 2x2 table. Each 0/1 entry is one shared ``Fraction``, so a
+    template costs one reference per entry.
     """
     vm = build_vertex_matrix(kind)
     names = _atom_names(kind)
-    rows = vm.entries[: vm.n_observed_rows] + (pinned(kind) if pinned else ())
+    pinned = _unequal_rows(kind) if sense == "feasibility" else ()
+    rows = vm.entries[: vm.n_observed_rows] + pinned
     return LinearProgram(
         names,
         tuple((tuple((_ZERO, _ONE)[e] for e in row), "==", _ZERO) for row in rows),
@@ -159,10 +152,14 @@ def _template(kind: str, pinned, sense: str) -> LinearProgram:
     )
 
 
-def _coupling_lp(sys: System, pinned=None, values=(), sense: str = "feasibility") -> LinearProgram:
-    """Atoms q >= 0 reproducing every observed cell of ``sys``, with row k
-    of ``pinned(sys.KIND)`` held as ``row . q == values[k]``."""
-    return _template(sys.KIND, pinned, sense).with_bounds((*observed_vector(sys), *values))
+def _fits(sys: System, mismatches: Sequence[Fraction]) -> bool:
+    """Does some joint distribution reproduce the observed pairs of ``sys``
+    with each connection mismatching with the given probability?"""
+    expected = len(_unequal_rows(sys.KIND))
+    if len(mismatches) != expected:
+        raise ValueError(f"expected {expected} connection values, got {len(mismatches)}")
+    program = _template(sys.KIND, "feasibility")
+    return is_feasible(program.with_bounds((*observed_vector(sys), *mismatches)))
 
 
 def compatible(sys: System, connections: Sequence) -> bool:
@@ -170,18 +167,16 @@ def compatible(sys: System, connections: Sequence) -> bool:
     connection mismatches with exactly the given probability?
 
     ``connections`` lists Pr[X != X'] per connection in canonical order
-    (4 values for Bell systems, 3 for temporal ones).
+    (4 values for Bell systems, 3 for temporal ones). With the observed rows
+    fixing each connection's marginals, its mismatch fixes its whole table.
     """
-    uneq = _unequal_rows(sys.KIND)
-    conn = [as_fraction(c) for c in connections]
-    if len(conn) != len(uneq):
-        raise ValueError(f"expected {len(uneq)} connection probabilities, got {len(conn)}")
-    return is_feasible(_coupling_lp(sys, _unequal_rows, conn))
+    return _fits(sys, [as_fraction(c) for c in connections])
 
 
 def _delta_outcomes(sys: System) -> tuple[LPOutcome, LPOutcome]:
     """The optimal outcomes minimizing and maximizing the total mismatch."""
-    lo, hi = (solve(_coupling_lp(sys, sense=s)) for s in ("min", "max"))
+    observed = observed_vector(sys)
+    lo, hi = (solve(_template(sys.KIND, s).with_bounds(observed)) for s in ("min", "max"))
     if lo.status != "optimal" or hi.status != "optimal":
         raise InternalInconsistencyError(
             f"mismatch extremization reported {lo.status}/{hi.status}; "
@@ -234,11 +229,6 @@ def report(sys: System, causal: bool = True) -> OracleResult:
     )
 
 
-def _raw_cells(m1: Fraction, m2: Fraction, product: Fraction) -> list[Fraction]:
-    """Cell values (1 + x m1 + y m2 + x y t)/4, unvalidated (may be negative)."""
-    return [(1 + x * m1 + y * m2 + x * y * product) / 4 for x, y in _OUTCOME_PAIRS]
-
-
 def compatibility_verdicts(
     sys: System, connection_means: Sequence
 ) -> tuple[bool, bool]:
@@ -247,14 +237,15 @@ def compatibility_verdicts(
     ``connection_means`` gives the product expectation <X X'> of each
     connection in canonical order. Returns (closed-form verdict, LP verdict):
     the closed form combines the parity-maximum inequalities with the cell
-    nonnegativity bounds on each connection; the LP asks directly for a joint
-    distribution matching all 2x2 tables. The two must agree on every input.
+    nonnegativity bounds on each connection; the LP is ``compatible`` at the
+    mismatches (1 - <X X'>)/2, since a connection's four cells lie in the span
+    of the observed rows and its mismatch row. The two must agree on every input.
     """
-    marg = cyclic.connection_marginal_pairs(sys)
     means = [as_fraction(c) for c in connection_means]
-    if len(means) != len(marg):
-        raise ValueError(f"expected {len(marg)} connection expectations, got {len(means)}")
+    # a negative implied cell (as from any |<X X'>| > 1) leaves no q >= 0
+    by_lp = _fits(sys, [(1 - t) / 2 for t in means])
 
+    marg = cyclic.connection_marginal_pairs(sys)
     frechet_ok = all(
         -1 + abs(m1 + m2) <= t <= 1 - abs(m1 - m2)
         for (m1, m2), t in zip(marg, means)
@@ -262,9 +253,4 @@ def compatibility_verdicts(
     # one odd-parity condition over the n products and the n connection terms
     bound = 2 * len(marg) - 2
     closed = frechet_ok and max_signed_sum_odd(sys.product_means() + tuple(means)) <= bound
-
-    # LP route: pin all 32 (24) event probabilities, including the connection
-    # cells computed directly from the requested expectations. A cell that
-    # comes out negative simply makes the program infeasible.
-    cells = [c for (m1, m2), t in zip(marg, means) for c in _raw_cells(m1, m2, t)]
-    return (closed, is_feasible(_coupling_lp(sys, _connection_rows, cells)))
+    return (closed, by_lp)

@@ -88,11 +88,11 @@ def verify_kind(
         closed_degree = closed.degree
         closed_interval = (closed.delta_min, closed.delta_max)
         noncontextual = closed.noncontextual
-        c0 = cyclic.minimal_connections(sys)
         if fault_injection and index == 0:
             closed_degree = closed_degree + 1
 
-        lo, hi = oracle.delta_extrema(sys)
+        polytope = oracle.report(sys, causal=False)
+        lo, hi = polytope.delta_min, polytope.delta_max
         oracle_degree = max(_ZERO, lo - closed.delta0)
 
         summary.checks_run += 1
@@ -110,7 +110,7 @@ def verify_kind(
                 fail("fme_interval", index, child, f"fme {fme_interval} != oracle {(lo, hi)}")
 
         summary.checks_run += 1
-        compatible_at_c0 = oracle.compatible(sys, c0.components())
+        compatible_at_c0 = polytope.feasible_at_c0
         if compatible_at_c0 != noncontextual:
             fail(
                 "criterion_vs_polytope",

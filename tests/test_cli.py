@@ -284,6 +284,14 @@ class TestSweep:
         assert time.perf_counter() - start < 5
         assert not out_path.exists()
 
+    def test_unprintable_exact_value_exit_two(self, tmp_path):
+        code, _, err = run_cli([
+            "sweep", "--delta", "1e-4300:1e-4300:1", "--epsilon", "0:0:1",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert "4300-digit limit" in err and "--decimals" not in err
+
     def test_unknown_family(self, tmp_path):
         code, _, err = run_cli([
             "sweep", "--family", "ghz", "--delta", "0:0:1", "--epsilon", "0:0:1",
@@ -338,6 +346,13 @@ class TestDerive:
         code, out, _ = run_cli(["derive", write_doc(tmp_path, "pr.json", PR_DOC)])
         assert code == 0 and "interval: [1, 3]" in out
         assert len(calls) == 1
+
+    def test_unprintable_exact_value_exit_two(self, tmp_path):
+        doc = bell_doc("0")
+        doc["pairs"]["11"]["x"] = "1e-4300"
+        code, out, err = run_cli(["derive", write_doc(tmp_path, "tiny.json", doc)])
+        assert code == 2 and not out
+        assert "4300-digit limit" in err and "--decimals" not in err
 
     def test_parse_error_exit_two(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -135,6 +135,41 @@ class TestCompatibilityVerdicts:
         assert both[True] and both[False]
 
 
+class TestFullTableReference:
+    """The LP verdict pins one mismatch row per connection. Pinning all four
+    cells of every connection in the vertex matrix must decide the same."""
+
+    @staticmethod
+    def full_table_feasible(sys, means):
+        vm = oracle.build_vertex_matrix(sys.KIND)
+        cells = [
+            (1 + x * m1 + y * m2 + x * y * t) / 4
+            for (m1, m2), t in zip(cyclic.connection_marginal_pairs(sys), means)
+            for x in (1, -1)
+            for y in (1, -1)
+        ]
+        values = oracle.observed_vector(sys) + tuple(cells)
+        names = tuple(f"q{k}" for k in range(vm.n_atoms))
+        program = ratlp.LinearProgram(
+            names, tuple(zip(vm.entries, ("==",) * vm.n_rows, values)), nonneg=frozenset(names)
+        )
+        return ratlp.is_feasible(program)
+
+    @pytest.mark.parametrize("kind, seed", [("bell", 601), ("lg", 607)])
+    def test_same_feasibility_as_full_tables(self, kind, seed):
+        seen, beyond_one = set(), 0
+        for i in range(16):
+            sys = random_system(kind, split_seed(seed, i), ("none", "no_signaling")[i % 2])
+            means = random_connection_means(sys, split_seed(seed, 100 + i), i % 4 < 2)
+            if i % 4 == 3:
+                means = tuple(2 * t for t in means)
+            beyond_one += any(abs(t) > 1 for t in means)
+            full = self.full_table_feasible(sys, means)
+            assert oracle.compatibility_verdicts(sys, means)[1] == full, (i, means)
+            seen.add(full)
+        assert seen == {True, False} and beyond_one
+
+
 class TestOracleReport:
     def test_witness_reproduces_observations(self):
         sys = pr_signaling_family(1, F(1, 5))

@@ -66,7 +66,7 @@ def parse_system_document(data: object) -> System:
     "expectations", "pairs": {<pair>: {<field>: number}}} with pairs
     "11","12","21","22" (bell) or "12","13","23" (lg); cell fields
     pp/pm/mp/mm, expectation fields x/y/xy. Numbers may be fraction strings,
-    decimal strings, or JSON numbers.
+    decimal strings, or JSON numbers; JSON booleans are rejected.
     """
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object")
@@ -96,6 +96,8 @@ def parse_system_document(data: object) -> System:
                     f"pair {key!r} is missing field {field!r}", pair=key, field=field
                 )
             try:
+                if isinstance(entry[field], bool):  # JSON true/false, not a number
+                    raise TypeError("a boolean is not a number")
                 values.append(as_fraction(entry[field]))
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 raise DocumentError(
@@ -259,8 +261,6 @@ def _parse_range(text: str) -> list[Fraction]:
 
 
 def cmd_sweep(args) -> int:
-    if args.family != "pr-signaling":
-        return _input_error(f"unknown family {args.family!r}")
     try:
         deltas = _parse_range(args.delta)
         epsilons = _parse_range(args.epsilon)
@@ -311,7 +311,6 @@ def cmd_verify(args) -> int:
         samples=args.samples,
         seed=args.seed,
         run_fme=not args.no_fme,
-        fault_injection=args.self_test_fault,
     )
     total_failures = 0
     for summary in summaries:
@@ -361,16 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--oracle", action="store_true", help="append LP-oracle values")
     p_analyze.add_argument(
         "--causal",
-        dest="causal",
-        action="store_true",
+        action=argparse.BooleanOptionalAction,
         default=True,
-        help="time-ordered treatment of temporal systems (default)",
-    )
-    p_analyze.add_argument(
-        "--no-causal",
-        dest="causal",
-        action="store_false",
-        help="generalized treatment: charge the first connection too",
+        help="time-ordered treatment of temporal systems (default); the "
+        "generalized one charges the first connection too",
     )
     p_analyze.add_argument("--format", choices=("json", "text"), default="text")
     p_analyze.add_argument("--decimals", type=int, default=None, metavar="K",
@@ -378,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_sweep = sub.add_parser("sweep", help="sweep a parametric family to CSV")
-    p_sweep.add_argument("--family", default="pr-signaling")
+    p_sweep.add_argument("--family", choices=("pr-signaling",), default="pr-signaling")
     p_sweep.add_argument("--delta", required=True, metavar="A:B:STEP")
     p_sweep.add_argument("--epsilon", required=True, metavar="A:B:STEP")
     p_sweep.add_argument("--oracle", action="store_true",
@@ -392,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--kind", choices=(*KINDS, "both"), default="both")
     p_verify.add_argument("--no-fme", action="store_true",
                           help="skip the projection route (faster)")
-    p_verify.add_argument("--self-test-fault", action="store_true",
-                          help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
     p_derive = sub.add_parser("derive", help="project the mismatch bounds of one system")

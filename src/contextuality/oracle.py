@@ -173,34 +173,32 @@ def compatible(sys: System, connections: Sequence) -> bool:
     return _fits(sys, [as_fraction(c) for c in connections])
 
 
-def _delta_outcomes(sys: System) -> tuple[LPOutcome, LPOutcome]:
-    """The optimal outcomes minimizing and maximizing the total mismatch."""
-    observed = observed_vector(sys)
-    lo, hi = (solve(_template(sys.KIND, s).with_bounds(observed)) for s in ("min", "max"))
-    if lo.status != "optimal" or hi.status != "optimal":
+def _extremum(sys: System, sense: str) -> LPOutcome:
+    """The optimal outcome of the ``sense`` ("min" or "max") total-mismatch program."""
+    outcome = solve(_template(sys.KIND, sense).with_bounds(observed_vector(sys)))
+    if outcome.status != "optimal":
         raise InternalInconsistencyError(
-            f"mismatch extremization reported {lo.status}/{hi.status}; "
+            f"mismatch {sense}imization reported {outcome.status}; "
             "the observed distributions cannot be valid"
         )
-    return lo, hi
+    return outcome
 
 
 def delta_extrema(sys: System) -> tuple[Fraction, Fraction]:
     """(min, max) of the total connection mismatch over all compatible joints."""
-    lo, hi = _delta_outcomes(sys)
-    return (lo.optimum, hi.optimum)
+    return (_extremum(sys, "min").optimum, _extremum(sys, "max").optimum)
 
 
 def degree(sys: System, causal: bool = True) -> Fraction:
     """Definitional degree max(0, delta_min - delta0), delta_min by LP.
 
-    ``causal`` only affects layouts with a time order (temporal systems),
-    matching the closed-form treatment of the first connection.
+    Solves only the "min" program. ``causal`` only affects layouts with a
+    time order (temporal systems), matching the closed-form treatment of the
+    first connection.
     """
     if causal:
         cyclic.check_causal(sys)
-    lo, _ = delta_extrema(sys)
-    return max(_ZERO, lo - cyclic.delta0(sys))
+    return max(_ZERO, _extremum(sys, "min").optimum - cyclic.delta0(sys))
 
 
 @dataclass(frozen=True)
@@ -218,7 +216,7 @@ def report(sys: System, causal: bool = True) -> OracleResult:
     connection vector, and the joint-distribution witness of the minimum."""
     if causal:
         cyclic.check_causal(sys)
-    lo, hi = _delta_outcomes(sys)
+    lo, hi = _extremum(sys, "min"), _extremum(sys, "max")
     c0 = cyclic.minimal_connections(sys)
     witness = tuple(lo.witness[name] for name in _atom_names(sys.KIND))
     return OracleResult(

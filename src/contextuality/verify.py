@@ -2,7 +2,8 @@
 
 For seeded random systems, every quantity this library computes in closed
 form is recomputed by the LP oracle and (optionally) by Fourier-Motzkin
-projection, and the results are compared with exact rational equality. Any
+projection. Each of the ``CHECKS`` is one row pairing a closed-form value
+with another route's value, compared with exact rational equality. Any
 difference is a defect in one of the routes; zero tolerance applies.
 """
 
@@ -60,99 +61,54 @@ def _constraint_for(index: int) -> str:
     return "no_signaling" if index % 3 == 0 else "none"
 
 
-def verify_kind(
-    kind: str,
-    samples: int,
-    seed: int,
-    run_fme: bool = True,
-    fault_injection: bool = False,
-) -> VerificationSummary:
+def _comparisons(sys, index: int, child: int, run_fme: bool):
+    """Rows (check, closed-form value, other route's value, detail) in ``CHECKS`` order."""
+    # the generalized treatment: temporal systems without the causal pin
+    closed = cyclic.analyze(sys)
+    closed_interval = (closed.delta_min, closed.delta_max)
+    polytope = oracle.report(sys, causal=False)
+    lp_interval = (polytope.delta_min, polytope.delta_max)
+    oracle_degree = max(_ZERO, polytope.delta_min - closed.delta0)
+    yield ("degree", closed.degree, oracle_degree,
+           f"closed {closed.degree} != oracle {oracle_degree}")
+    yield ("interval", closed_interval, lp_interval,
+           f"closed {closed_interval} != oracle {lp_interval}")
+    if run_fme:
+        fme_interval = fme.derive_delta_bounds(sys)
+        yield ("fme_interval", fme_interval, lp_interval,
+               f"fme {fme_interval} != oracle {lp_interval}")
+    yield ("criterion_vs_polytope", closed.noncontextual, polytope.feasible_at_c0,
+           f"compatible_at_c0 {polytope.feasible_at_c0} != noncontextual {closed.noncontextual}")
+    means = random_connection_means(sys, split_seed(child, 1), inside_bounds=bool(index % 2))
+    by_inequalities, by_polytope = oracle.compatibility_verdicts(sys, means)
+    yield ("connection_verdicts", by_inequalities, by_polytope,
+           f"inequalities {by_inequalities} != polytope {by_polytope} at {means}")
+    if not closed.signaling:
+        yield ("classic_reduction", closed.noncontextual, closed.classic_satisfied,
+               f"no-signaling system: generalized {closed.noncontextual} "
+               f"!= classic {closed.classic_satisfied}")
+
+
+def verify_kind(kind: str, samples: int, seed: int, run_fme: bool = True) -> VerificationSummary:
     """Run every cross-route check on ``samples`` seeded systems of one kind.
 
-    ``fault_injection`` corrupts the closed-form degree of the first sample;
-    it exists so the harness can demonstrate that it actually detects
-    mismatches (a harness self-test, not a production flag).
+    Each sample yields one row per check that applies to it: ``fme_interval``
+    only with ``run_fme``, ``classic_reduction`` only on no-signaling samples.
+    A row whose two values differ is recorded as a ``CheckFailure``.
     """
     summary = VerificationSummary(kind=kind, samples=samples)
-
-    def fail(check: str, index: int, child: int, detail: str) -> None:
-        summary.failures.append(CheckFailure(check, kind, index, child, detail))
-
     for index in range(samples):
         child = split_seed(seed, index)
-        constraint = _constraint_for(index)
-        sys = random_system(kind, child, constraint)
-
-        # the generalized treatment: temporal systems without the causal pin
-        closed = cyclic.analyze(sys)
-        closed_degree = closed.degree
-        closed_interval = (closed.delta_min, closed.delta_max)
-        noncontextual = closed.noncontextual
-        if fault_injection and index == 0:
-            closed_degree = closed_degree + 1
-
-        polytope = oracle.report(sys, causal=False)
-        lo, hi = polytope.delta_min, polytope.delta_max
-        oracle_degree = max(_ZERO, lo - closed.delta0)
-
-        summary.checks_run += 1
-        if closed_degree != oracle_degree:
-            fail("degree", index, child, f"closed {closed_degree} != oracle {oracle_degree}")
-
-        summary.checks_run += 1
-        if closed_interval != (lo, hi):
-            fail("interval", index, child, f"closed {closed_interval} != oracle {(lo, hi)}")
-
-        if run_fme:
+        sys = random_system(kind, child, _constraint_for(index))
+        for check, closed, other, detail in _comparisons(sys, index, child, run_fme):
             summary.checks_run += 1
-            fme_interval = fme.derive_delta_bounds(sys)
-            if fme_interval != (lo, hi):
-                fail("fme_interval", index, child, f"fme {fme_interval} != oracle {(lo, hi)}")
-
-        summary.checks_run += 1
-        compatible_at_c0 = polytope.feasible_at_c0
-        if compatible_at_c0 != noncontextual:
-            fail(
-                "criterion_vs_polytope",
-                index,
-                child,
-                f"compatible_at_c0 {compatible_at_c0} != noncontextual {noncontextual}",
-            )
-
-        summary.checks_run += 1
-        means = random_connection_means(sys, split_seed(child, 1), inside_bounds=bool(index % 2))
-        closed_verdict, lp_verdict = oracle.compatibility_verdicts(sys, means)
-        if closed_verdict != lp_verdict:
-            fail(
-                "connection_verdicts",
-                index,
-                child,
-                f"inequalities {closed_verdict} != polytope {lp_verdict} at {means}",
-            )
-
-        if not closed.signaling:
-            summary.checks_run += 1
-            if noncontextual != closed.classic_satisfied:
-                fail(
-                    "classic_reduction",
-                    index,
-                    child,
-                    f"no-signaling system: generalized {noncontextual} "
-                    f"!= classic {closed.classic_satisfied}",
-                )
-
+            if closed != other:
+                summary.failures.append(CheckFailure(check, kind, index, child, detail))
     return summary
 
 
 def run_verification(
-    kind: str = "both",
-    samples: int = 100,
-    seed: int = 0,
-    run_fme: bool = True,
-    fault_injection: bool = False,
+    kind: str = "both", samples: int = 100, seed: int = 0, run_fme: bool = True
 ) -> list[VerificationSummary]:
     kinds = tuple(KINDS) if kind == "both" else (kind,)
-    return [
-        verify_kind(k, samples, seed, run_fme=run_fme, fault_injection=fault_injection)
-        for k in kinds
-    ]
+    return [verify_kind(k, samples, seed, run_fme=run_fme) for k in kinds]

@@ -3,11 +3,12 @@ import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from contextuality import bell, fme
+from contextuality import bell, cyclic, fme
 from contextuality.cli import MAX_DECIMALS, main, parse_system_document, DocumentError
 from contextuality.core import BellSystem, LGSystem
 from contextuality.generators import pr_signaling_family
@@ -85,6 +86,18 @@ class TestParseSystemDocument:
         with pytest.raises(DocumentError) as err:
             parse_system_document(doc)
         assert err.value.field == "pp"
+
+    def test_boolean_values_rejected(self, tmp_path):
+        # JSON true/false are not numbers, though Python counts True as 1
+        cells = {"pp": True, "pm": False, "mp": False, "mm": False}
+        doc = {"kind": "bell", "representation": "cells",
+               "pairs": {k: dict(cells) for k in ("11", "12", "21", "22")}}
+        with pytest.raises(DocumentError) as err:
+            parse_system_document(doc)
+        assert (err.value.pair, err.value.field) == ("11", "pp")
+        for command in ("analyze", "derive"):
+            code, _, err = run_cli([command, write_doc(tmp_path, "b.json", doc)])
+            assert code == 2 and "pair '11' field 'pp'" in err
 
     def test_bad_kind(self):
         with pytest.raises(DocumentError):
@@ -310,10 +323,17 @@ class TestVerify:
         code, _, err = run_cli(["verify", "--samples", "0"])
         assert code == 2 and "--samples" in err
 
-    def test_fault_injection_detected(self):
-        code, out, _ = run_cli([
-            "verify", "--samples", "2", "--kind", "bell", "--self-test-fault", "--no-fme",
-        ])
+    def test_fault_injection_detected(self, monkeypatch):
+        # one extra unit of closed-form degree on the first sample only
+        analyze, seen = cyclic.analyze, []
+
+        def faulty(system):
+            report = analyze(system)
+            seen.append(system)
+            return replace(report, degree=report.degree + 1) if len(seen) == 1 else report
+
+        monkeypatch.setattr(cyclic, "analyze", faulty)
+        code, out, _ = run_cli(["verify", "--samples", "2", "--kind", "bell", "--no-fme"])
         assert code == 1
         assert "first_failure: sample 0" in out
 

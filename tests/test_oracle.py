@@ -97,6 +97,17 @@ class TestDegree:
         sys = pr_signaling_family(F(17, 24), 0)
         assert oracle.degree(sys) == 2 * F(17, 24) - 1 == F(5, 12)
 
+    def test_solves_only_the_min_program(self, monkeypatch):
+        solve, senses = oracle.solve, []
+
+        def counting(program):
+            senses.append(program.sense)
+            return solve(program)
+
+        monkeypatch.setattr(oracle, "solve", counting)
+        oracle.degree(pr_signaling_family(F(17, 24), 0))
+        assert senses == ["min"]
+
     def test_no_signaling_classical_zero(self):
         assert oracle.degree(pr_signaling_family(F(1, 4), 0)) == 0
 

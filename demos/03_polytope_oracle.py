@@ -2,9 +2,11 @@
 
 Every probability vector this library reasons about lives in the polytope
 { M q : q >= 0, sum q = 1 } where the 0/1 matrix M sums atom probabilities
-into observed-pair and connection-pair cells. This script builds M, runs the
-exact LP oracle on a few systems, and pulls out an explicit joint
-distribution witnessing the minimal total mismatch.
+into observed-pair and connection-pair cells. This script builds M, shows
+the smaller chordal program the oracle solves in its place (one table per
+triangle of the variables' cycle), runs the exact LP oracle on a few
+systems, and pulls out an explicit joint distribution witnessing the
+minimal total mismatch.
 """
 
 from fractions import Fraction
@@ -19,6 +21,15 @@ print(f"vertex matrix ({vm.kind}): {vm.n_rows} event rows x {vm.n_atoms} atoms")
 print(f"first rows: {vm.row_labels[:2]} ... {vm.row_labels[-1]}")
 first_column_sum = sum(row[0] for row in vm.entries)
 print(f"every atom column hits one cell per pair group: column sum = {first_column_sum}")
+# The oracle asks the same questions of one 8-cell table per triangle of the
+# fanned variable cycle: exact, since tables that agree on a chordal cover
+# extend to a joint distribution. Shapes of its compiled "min" (as "max")
+# and "feasibility" programs next to the atom programs over the columns of M:
+n_conn = (vm.n_rows - vm.n_observed_rows) // 4
+for sense, atom_rows in (("min", vm.n_observed_rows), ("feasibility", vm.n_observed_rows + n_conn)):
+    chordal = oracle._template("bell", sense)
+    print(f"{sense:>11} program: chordal {len(chordal.constraints)} x {len(chordal.variables)}, "
+          f"atoms {atom_rows} x {vm.n_atoms}")
 print()
 
 # The maximal box cannot couple with identical connections...

@@ -117,9 +117,11 @@ def parse_system_document(data: object) -> System:
 
 
 def load_system(path: str) -> System:
+    """Read a system document; a JSON number keeps its decimal text, which
+    ``as_fraction`` reads exactly (a float would round it first)."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, parse_float=str)
         except ValueError as exc:  # bad JSON or UTF-8, or an over-long integer
             raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
     return parse_system_document(data)

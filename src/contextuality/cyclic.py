@@ -31,8 +31,9 @@ mismatch at 2, yet an explicit coupling reaches 3, and the LP oracle admits
 it. At n = 3 the criterion is the two-sided temporal bound
 -1 <= sum of products <= 1 + 2 min(products), by sign enumeration.
 
-Only the ranks 3 and 4 are constructed, and there the LP oracle confirms
-these forms; for n >= 5 they are a conjecture.
+Only the ranks 3 and 4 are constructed, and there the LP oracle (a chordal
+coupling LP, exact on the whole coupling polytope) confirms these forms; for
+n >= 5 they are a conjecture.
 """
 
 from __future__ import annotations

@@ -1,11 +1,21 @@
-"""Ground-truth computations on the full joint-distribution polytope.
+"""Ground truth over the coupling polytope, by an exact chordal LP.
 
-Every observable-plus-connection probability vector p that some joint
-distribution q over all outcome combinations can produce satisfies p = M q
-with q >= 0, where M is a 0/1 incidence matrix whose columns are the
-polytope's vertices. Feasibility and extremization over that polytope are
-decided by exact LP, independently of any closed-form shortcut; the closed
-forms are tested against this module, never the other way around.
+A coupling of a system is a joint distribution of all 2n of its +/-1
+variables. Observed pairs and connections alternate around one cycle of
+those variables, and every quantity the oracle reads (an observed cell, a
+connection's mismatch) lives on one edge of the cycle. Fanning the cycle from
+its first vertex gives 2n - 2 triangles (w0, w_i, w_i+1), a chordal cover,
+and tables on a chordal cover that agree on the separators between them
+always extend to a joint distribution (Vorob'ev, Theory Probab. Appl. 7,
+1962; the junction-tree theorem, Wainwright & Jordan 2008, section 2.5). So
+the LP ranges over one 8-cell table per triangle, q >= 0: each observed cell
+is pinned in the first triangle holding its pair, and the two triangles
+beside each chord (w0, w_i) have equal 2x2 marginals on it. For Bell systems
+that is 36 rows by 48 cells in place of the 16 x 256 program p = M q over
+all atoms of ``build_vertex_matrix``, which stays as the reference the tests
+compare against. Feasibility and extremization are decided by exact LP,
+independently of any closed-form shortcut; the closed forms are tested
+against this module, never the other way around.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from itertools import product
 from typing import Sequence
 
 from . import cyclic
@@ -22,6 +32,7 @@ from .ratlp import LinearProgram, LPOutcome, is_feasible, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 # Per kind: the variables, the observed pairs and the connections. This table
 # is the oracle's own, kept apart from the cycle each system class declares,
@@ -41,7 +52,10 @@ _CYCLES = {
     ),
 }
 
-_OUTCOME_PAIRS = tuple((x, y) for x in OUTCOMES for y in OUTCOMES)
+_OUTCOME_PAIRS = tuple(product(OUTCOMES, repeat=2))
+# The cells of one triangle (w0, w_i, w_i+1), in column order.
+_TRIANGLE_CELLS = tuple(product(OUTCOMES, repeat=3))
+_UNEQUAL = ((1, -1), (-1, 1))
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -115,51 +129,137 @@ def observed_vector(sys: System) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _atom_names(kind: str) -> tuple[str, ...]:
-    n = build_vertex_matrix(kind).n_atoms
-    return tuple(f"q{k:03d}" for k in range(n))
+def _fan(kind: str) -> tuple[tuple[str, str, str], ...]:
+    """The fan triangulation (w0, w_i, w_i+1), i = 1 .. 2n-2, of ``kind``'s cycle.
+
+    The cycle w0 .. w_2n-1 starts at the first observed pair and alternates
+    observed pairs and connections. Triangle i - 1 and triangle i share the
+    chord (w0, w_i+1).
+    """
+    variables, observed, connections = _CYCLES[kind]
+    walk = [observed[0][0]]
+    for step in range(len(variables) - 1):
+        here = walk[-1]
+        edges = connections if step % 2 else observed
+        walk.append(next(b if a == here else a for a, b in edges if here in (a, b)))
+    return tuple((walk[0], walk[i], walk[i + 1]) for i in range(1, len(walk) - 1))
+
+
+def _cells(fan, pair: tuple[str, str], cell: tuple[int, int], t: int = -1) -> tuple[int, ...]:
+    """The columns of triangle ``t`` (by default the first holding ``pair``)
+    whose cell gives ``pair`` the outcomes ``cell``."""
+    if t < 0:
+        t = next(t for t, triangle in enumerate(fan) if set(pair) <= set(triangle))
+    i, j = fan[t].index(pair[0]), fan[t].index(pair[1])
+    return tuple(8 * t + k for k, c in enumerate(_TRIANGLE_CELLS) if (c[i], c[j]) == cell)
 
 
 @lru_cache(maxsize=None)
-def _unequal_rows(kind: str) -> tuple[tuple[int, ...], ...]:
-    """Per connection, the 0/1 atom indicator of the two variables differing."""
-    vm = build_vertex_matrix(kind)
-    cells = vm.entries[vm.n_observed_rows :]  # (+,+), (+,-), (-,+), (-,-) per connection
-    return tuple(tuple(map(add, pm, mp)) for pm, mp in zip(cells[1::4], cells[2::4]))
+def _cell_names(kind: str) -> tuple[str, ...]:
+    """The LP columns: triangle t's cell (x0, xi, xi+1) is named like "t2+-+"."""
+    return tuple(
+        f"t{t}" + "".join("+" if x > 0 else "-" for x in cell)
+        for t in range(len(_fan(kind)))
+        for cell in _TRIANGLE_CELLS
+    )
+
+
+def _row(n_cols: int, plus: Sequence[int], minus: Sequence[int] = ()) -> tuple[Fraction, ...]:
+    row = [_ZERO] * n_cols
+    for j in plus:
+        row[j] = _ONE
+    for j in minus:
+        row[j] = _MINUS_ONE
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
 def _template(kind: str, sense: str) -> LinearProgram:
-    """The coupling program of ``kind`` with every bound 0, compiled once.
+    """The chordal coupling program of ``kind`` with every bound 0, compiled once.
 
-    Atoms q >= 0 and one equality per observed cell. A "feasibility" program
-    also pins each connection's mismatch row (``_unequal_rows``); a "min" or
-    "max" program extremizes their sum instead. A connection's four cells lie
-    in the span of the observed rows and its mismatch row, so that pin fixes
-    its whole 2x2 table. Each 0/1 entry is one shared ``Fraction``, so a
-    template costs one reference per entry.
+    Cells q >= 0, one equality per observed cell, then four separator rows
+    per chord (its 2x2 marginal in the triangle before it minus that in the
+    triangle after it, bound 0). A "feasibility" program also pins each
+    connection's mismatch row, the cells (+,-) and (-,+) of the triangle
+    holding it; a "min" or "max" program extremizes their sum instead. A
+    connection's four cells lie in the span of the observed rows and its
+    mismatch row, so that pin fixes its whole 2x2 table. Bell programs are
+    36 x 48 (feasibility 40 x 48), temporal ones 24 x 32 (27 x 32).
     """
-    vm = build_vertex_matrix(kind)
-    names = _atom_names(kind)
-    pinned = _unequal_rows(kind) if sense == "feasibility" else ()
-    rows = vm.entries[: vm.n_observed_rows] + pinned
+    _, observed, connections = _CYCLES[kind]
+    fan = _fan(kind)
+    n_cols = 8 * len(fan)
+    rows = [_row(n_cols, _cells(fan, pair, cell)) for pair in observed for cell in _OUTCOME_PAIRS]
+    for t in range(1, len(fan)):
+        chord = fan[t][:2]
+        rows.extend(
+            _row(n_cols, _cells(fan, chord, cell, t - 1), _cells(fan, chord, cell, t))
+            for cell in _OUTCOME_PAIRS
+        )
+    mismatch = [
+        _row(n_cols, sum((_cells(fan, pair, cell) for cell in _UNEQUAL), ()))
+        for pair in connections
+    ]
+    if sense == "feasibility":
+        rows += mismatch
+    names = _cell_names(kind)
     return LinearProgram(
         names,
-        tuple((tuple((_ZERO, _ONE)[e] for e in row), "==", _ZERO) for row in rows),
-        objective=None if sense == "feasibility" else tuple(map(sum, zip(*_unequal_rows(kind)))),
+        tuple((row, "==", _ZERO) for row in rows),
+        objective=None if sense == "feasibility" else tuple(map(sum, zip(*mismatch))),
         sense=sense,
         nonneg=frozenset(names),
     )
 
 
+def _program(sys: System, sense: str, mismatches: Sequence[Fraction] = ()) -> LinearProgram:
+    """The ``sense`` template of ``sys``'s kind with its observed cells, zero
+    on every separator row, and ``mismatches`` pinned (feasibility only)."""
+    separators = (_ZERO,) * (4 * len(_fan(sys.KIND)) - 4)
+    return _template(sys.KIND, sense).with_bounds(
+        (*observed_vector(sys), *separators, *mismatches)
+    )
+
+
+def _joint(kind: str, witness: dict[str, Fraction]) -> tuple[Fraction, ...]:
+    """The joint over all atoms, in vertex-matrix order, that the triangle
+    tables of ``witness`` determine.
+
+    It is the product of the triangle tables over the separator marginals
+    between them, grown one triangle at a time: triangle t fixes w_t+2 given
+    (w0, w_t+1), with 0/0 = 0 (a zero separator cell bounds its triangle
+    cells to zero). Each triangle's table is this joint's marginal on it.
+    """
+    fan, names = _fan(kind), _cell_names(kind)
+    tables = [
+        dict(zip(_TRIANGLE_CELLS, (witness[name] for name in names[8 * t : 8 * t + 8])))
+        for t in range(len(fan))
+    ]
+    joint = dict(tables[0])  # outcomes of (w0, w1, w2)
+    for table in tables[1:]:
+        separator = {pair: table[pair + (1,)] + table[pair + (-1,)] for pair in _OUTCOME_PAIRS}
+        grown = {}
+        for outcomes, q in joint.items():
+            s = separator[outcomes[0], outcomes[-1]]
+            for x in OUTCOMES:
+                grown[outcomes + (x,)] = q * table[outcomes[0], outcomes[-1], x] / s if q else _ZERO
+        joint = grown
+    variables = _CYCLES[kind][0]
+    walk = fan[0][:2] + tuple(triangle[2] for triangle in fan)
+    order = [walk.index(v) for v in variables]
+    atoms = [_ZERO] * len(joint)
+    for outcomes, q in joint.items():
+        atoms[sum(1 << k for k, w in enumerate(reversed(order)) if outcomes[w] < 0)] = q
+    return tuple(atoms)
+
+
 def _fits(sys: System, mismatches: Sequence[Fraction]) -> bool:
     """Does some joint distribution reproduce the observed pairs of ``sys``
     with each connection mismatching with the given probability?"""
-    expected = len(_unequal_rows(sys.KIND))
+    expected = len(_CYCLES[sys.KIND][2])
     if len(mismatches) != expected:
         raise ValueError(f"expected {expected} connection values, got {len(mismatches)}")
-    program = _template(sys.KIND, "feasibility")
-    return is_feasible(program.with_bounds((*observed_vector(sys), *mismatches)))
+    return is_feasible(_program(sys, "feasibility", mismatches))
 
 
 def compatible(sys: System, connections: Sequence) -> bool:
@@ -175,7 +275,7 @@ def compatible(sys: System, connections: Sequence) -> bool:
 
 def _extremum(sys: System, sense: str) -> LPOutcome:
     """The optimal outcome of the ``sense`` ("min" or "max") total-mismatch program."""
-    outcome = solve(_template(sys.KIND, sense).with_bounds(observed_vector(sys)))
+    outcome = solve(_program(sys, sense))
     if outcome.status != "optimal":
         raise InternalInconsistencyError(
             f"mismatch {sense}imization reported {outcome.status}; "
@@ -218,12 +318,11 @@ def report(sys: System, causal: bool = True) -> OracleResult:
         cyclic.check_causal(sys)
     lo, hi = _extremum(sys, "min"), _extremum(sys, "max")
     c0 = cyclic.minimal_connections(sys)
-    witness = tuple(lo.witness[name] for name in _atom_names(sys.KIND))
     return OracleResult(
         delta_min=lo.optimum,
         delta_max=hi.optimum,
         feasible_at_c0=compatible(sys, c0.components()),
-        witness_joint=witness,
+        witness_joint=_joint(sys.KIND, lo.witness),
     )
 
 

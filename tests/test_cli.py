@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from contextuality import bell, cyclic, fme
-from contextuality.cli import MAX_DECIMALS, main, parse_system_document, DocumentError
-from contextuality.core import BellSystem, LGSystem
+from contextuality.cli import MAX_DECIMALS, main, load_system, parse_system_document, DocumentError
+from contextuality.core import MAX_DECIMAL_EXPONENT, BellSystem, LGSystem
 from contextuality.generators import pr_signaling_family
 
 F = Fraction
@@ -150,6 +150,30 @@ class TestAnalyze:
         path.write_text(text, encoding="utf-8")
         code, _, err = run_cli(["analyze", str(path)])
         assert code == 2 and "not valid JSON" in err
+
+    def test_json_numbers_read_exactly(self, tmp_path):
+        # a JSON number is read from its decimal text, not rounded to a float
+        path = tmp_path / "tiny.json"
+        text = json.dumps(bell_doc("0")).replace('"xy": "0"', '"xy": 1e-400', 1)
+        path.write_text(text, encoding="utf-8")
+        assert load_system(str(path)).product_means()[0] == F(1, 10**400)
+        doc = {
+            "kind": "bell",
+            "representation": "cells",
+            "pairs": {k: {f: "1/4" for f in ("pp", "pm", "mp", "mm")} for k in ("11", "12", "21", "22")},
+        }
+        text = json.dumps(doc).replace('"pp": "1/4"', '"pp": 0.25000000000000000001', 1)
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(["analyze", str(path)])
+        assert code == 2 and "sum to 100000000000000000001/100000000000000000000" in err
+
+    def test_json_number_exponent_past_limit_exit_two(self, tmp_path):
+        path = tmp_path / "tiny.json"
+        number = f"1e-{MAX_DECIMAL_EXPONENT + 1}"
+        text = json.dumps(bell_doc("0")).replace('"xy": "0"', f'"xy": {number}', 1)
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(["analyze", str(path)])
+        assert code == 2 and f"'{number}'" in err
 
     def test_missing_file_exit_two(self):
         code, _, err = run_cli(["analyze", "/nonexistent/system.json"])

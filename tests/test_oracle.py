@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
 import pytest
 
@@ -322,3 +324,91 @@ class TestDegenerateInputs:
                 closed, by_lp = oracle.compatibility_verdicts(sys, means)
                 assert closed == by_lp, (i, means)
         assert 0 < contextual < 12
+
+
+def _degenerate_systems(kind, seed):
+    """The zero-cell, near-bound, box and anti systems of ``TestDegenerateInputs``."""
+    rng = random.Random(seed)
+    n = len(KINDS[kind].PAIRS)
+    for i in range(12):
+        if i % 3 == 2:
+            modes = ["box"] * (n - 1) + ["anti"]
+        else:
+            modes = [("zeros", "near")[(i + j) % 2] for j in range(n)]
+        yield KINDS[kind](*(_edge_pair(rng, mode) for mode in modes))
+
+
+@lru_cache(maxsize=None)
+def _atom_template(kind, sense):
+    """The coupling program over all 2^(2n) atoms of the vertex matrix, bounds 0:
+    the observed rows, plus each connection's mismatch row for "feasibility"
+    or their sum as the objective for "min" and "max"."""
+    vm = oracle.build_vertex_matrix(kind)
+    names = tuple(f"q{k}" for k in range(vm.n_atoms))
+    cells = vm.entries[vm.n_observed_rows :]  # (+,+), (+,-), (-,+), (-,-) per connection
+    unequal = tuple(tuple(map(add, pm, mp)) for pm, mp in zip(cells[1::4], cells[2::4]))
+    rows = vm.entries[: vm.n_observed_rows] + (unequal if sense == "feasibility" else ())
+    return ratlp.LinearProgram(
+        names,
+        tuple((row, "==", 0) for row in rows),
+        objective=None if sense == "feasibility" else tuple(map(sum, zip(*unequal))),
+        sense=sense,
+        nonneg=frozenset(names),
+    )
+
+
+def _atom_outcome(sys, sense, mismatches=()):
+    program = _atom_template(sys.KIND, sense)
+    return ratlp.solve(program.with_bounds(oracle.observed_vector(sys) + tuple(mismatches)))
+
+
+class TestAtomReference:
+    """The chordal program decides what the program over all atoms decides."""
+
+    @pytest.mark.parametrize("kind, seed", [("bell", 613), ("lg", 617)])
+    def test_same_extrema_and_compatibility(self, kind, seed):
+        systems = [
+            random_system(kind, split_seed(seed, i), ("none", "no_signaling")[i % 2])
+            for i in range(12)
+        ]
+        systems += _degenerate_systems(kind, seed)
+        seen = set()
+        for i, sys in enumerate(systems):
+            extrema = tuple(_atom_outcome(sys, sense).optimum for sense in ("min", "max"))
+            assert oracle.delta_extrema(sys) == extrema, i
+            c0 = cyclic.minimal_connections(sys).components()
+            fits = _atom_outcome(sys, "feasibility", c0).status == "optimal"
+            assert oracle.compatible(sys, c0) == fits, i
+            seen.add(fits)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("kind", ["bell", "lg"])
+    def test_pairs_of_unequal_mass_fit_no_joint(self, kind):
+        # every atom hits one cell of each pair, so pairs whose cells sum to
+        # different totals fit no q >= 0; the chordal program needs every
+        # separator row to carry one total across each chord
+        uniform = PairDistribution.from_expectations(0, 0, 0)
+        half = PairDistribution(*(c / 2 for c in uniform.cells()))
+        n = len(KINDS[kind].PAIRS)
+        for mask in range(1, 2**n - 1):
+            sys = KINDS[kind](*(half if mask >> k & 1 else uniform for k in range(n)))
+            assert _atom_outcome(sys, "min").status == "infeasible"
+            with pytest.raises(oracle.InternalInconsistencyError):
+                oracle.delta_extrema(sys)
+            assert not oracle.compatible(sys, (F(1, 2),) * n), mask
+
+
+class TestDegenerateWitness:
+    @pytest.mark.parametrize("kind, seed", [("bell", 401), ("lg", 409)])
+    def test_witness_is_a_minimal_coupling(self, kind, seed):
+        # box and zero-cell pairs leave zero separator marginals, where the
+        # rebuilt joint takes 0/0 as 0
+        vm = oracle.build_vertex_matrix(kind)
+        for i, sys in enumerate(_degenerate_systems(kind, seed)):
+            result = oracle.report(sys, causal=False)
+            witness = result.witness_joint
+            assert all(w >= 0 for w in witness) and sum(witness) == 1, i
+            cells = [sum((w for m, w in zip(row, witness) if m), F(0)) for row in vm.entries]
+            assert tuple(cells[: vm.n_observed_rows]) == oracle.observed_vector(sys), i
+            connection = cells[vm.n_observed_rows :]
+            assert sum(connection[1::4]) + sum(connection[2::4]) == result.delta_min, i

@@ -3,8 +3,9 @@
 The third route to the mismatch interval: write down the compatibility
 constraints with the connection expectations still symbolic, substitute the
 equality that defines the total mismatch, then eliminate the connection
-variables one at a time by Fourier-Motzkin pairing, pruning implied rows
-with exact LP after each step. What falls out is a system over the single
+variables one at a time by Fourier-Motzkin pairing. Each step merges
+parallel rows onto their tightest bound, and that alone keeps the system
+small: no LP runs on this route. What falls out is a system over the single
 mismatch variable whose two surviving rows are the interval endpoints.
 """
 

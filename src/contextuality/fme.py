@@ -3,9 +3,10 @@
 Used to re-derive, for any concrete system, the bounds on the total
 connection mismatch by mechanically projecting the compatibility constraints
 onto the mismatch variable: substitute the mismatch-defining equality, then
-eliminate the connection expectations one by one, pruning redundant rows by
-linear programming between steps. Both steps cancel a variable the same way,
-by adding a multiple of a pivot row to a positive multiple of each row; an
+eliminate the connection expectations one by one. Both steps cancel a
+variable the same way, by adding a multiple of a pivot row to a positive
+multiple of each row, then merge parallel rows onto their tightest bound;
+that merge alone keeps each step small, so the projection solves no LP. An
 elimination that would build over ``MAX_FME_ROWS`` rows raises ``ValueError``.
 """
 
@@ -192,7 +193,8 @@ def remove_redundant(system: InequalitySystem) -> InequalitySystem:
 
     A row stays only if relaxing it admits a strictly violating point,
     certified by maximizing its left-hand side over the other rows with
-    exact LP. Equality rows are never pruned. Idempotent.
+    exact LP. Equality rows are never pruned. Idempotent. A standalone
+    utility: ``project_to_delta`` does not call it.
     """
     rows = list(system.rows)
     keep = [True] * len(rows)
@@ -250,14 +252,14 @@ def project_to_delta(sys: System) -> InequalitySystem:
     """Eliminate every connection expectation, leaving bounds on the mismatch.
 
     The defining equality substitutes out the first connection variable; the
-    rest fall to Fourier-Motzkin elimination with LP pruning between steps.
+    rest fall to Fourier-Motzkin elimination. No LP prunes between steps:
+    merging parallel rows keeps at most 24 rows per step at rank 4 and 14 at
+    rank 3, and the last step leaves the two bounds on the mismatch.
     """
     system, conn_vars = _instantiated_system(sys)
     system = substitute_equality(system, len(system.rows) - 1, conn_vars[0])
-    system = remove_redundant(system)
     for var in conn_vars[1:]:
         system = eliminate(system, var)
-        system = remove_redundant(system)
     return system
 
 
@@ -265,7 +267,7 @@ def derive_delta_bounds(sys: System) -> tuple[Fraction, Fraction]:
     """(min, max) of the total connection mismatch, by pure projection.
 
     Independent route: shares no formula with the closed-form interval and no
-    polytope construction with the LP oracle.
+    LP with the oracle.
     """
     return _interval(project_to_delta(sys))
 

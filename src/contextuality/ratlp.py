@@ -29,7 +29,7 @@ duality), an infeasibility by its Farkas vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
@@ -408,10 +408,7 @@ def _simplex(lp: LinearProgram) -> LPOutcome:
 
 def is_feasible(lp: LinearProgram) -> bool:
     """Whether the constraint set admits any point (objective ignored)."""
-    probe = lp
-    if lp.sense != "feasibility":
-        probe = replace(lp, objective=None, sense="feasibility")
-    return solve(probe).status == "optimal"
+    return solve(lp).status != "infeasible"
 
 
 def _row_value(nonzeros, values) -> Fraction:

@@ -245,7 +245,7 @@ class TestSweep:
             "--delta", "0:1:1/2", "--epsilon", "0:0:1", "--out", str(out_path),
         ])
         assert code == 0
-        rows = list(csv.DictReader(out_path.open()))
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
         assert [r["degree_closed"] for r in rows] == ["0", "0", "1"]
         assert [r["classic_chsh"] for r in rows] == ["1", "1", "0"]
         assert all(r["no_signaling"] == "1" for r in rows)
@@ -256,12 +256,12 @@ class TestSweep:
             "sweep", "--delta", "1:1:1", "--epsilon", "0:1/10:1/10", "--oracle",
             "--out", str(out_path),
         ])
-        header = out_path.open().readline().strip().split(",")
+        header = out_path.read_text().splitlines()[0].split(",")
         assert header == [
             "delta", "epsilon", "delta0", "chsh_stat", "degree_closed",
             "degree_oracle", "classic_chsh", "no_signaling", "skipped",
         ]
-        rows = list(csv.DictReader(out_path.open()))
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
         # the oracle column is authoritative for the signaling family
         assert rows[0]["degree_oracle"] == "1"
         assert rows[1]["degree_oracle"] == "9/10"  # 2*1 - 1 - 1/10
@@ -272,7 +272,7 @@ class TestSweep:
             "sweep", "--delta", "0:0:1", "--epsilon", "3/4:3/4:1", "--out", str(out_path),
         ])
         assert code == 0
-        rows = list(csv.DictReader(out_path.open()))
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
         assert rows[0]["skipped"] == "1"
         assert rows[0]["degree_closed"] == ""
 

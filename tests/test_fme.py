@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextuality import bell, lg, oracle
+from contextuality import bell, cyclic, fme, lg, oracle
 from contextuality.fme import (
     InequalitySystem,
     UnknownVariableError,
@@ -25,7 +26,7 @@ from contextuality.generators import (
     random_system,
     split_seed,
 )
-from contextuality.core import PairDistribution, BellSystem
+from contextuality.core import BellSystem, LGSystem, PairDistribution
 from contextuality.ratlp import LinearProgram, is_feasible
 
 F = Fraction
@@ -260,3 +261,58 @@ class TestDeriveDeltaBounds:
             interval = derive_delta_bounds(sys)
             assert interval == closed(sys), i
             assert interval == oracle.delta_extrema(sys), i
+
+
+def _degenerate_systems():
+    """Zero-cell, boundary and box systems of both kinds."""
+    uniform = PairDistribution.from_expectations(0, 0, 0)
+    yield BellSystem(uniform, uniform, uniform, uniform)
+    yield LGSystem(uniform, uniform, uniform)
+    yield lg_anticorrelated()
+    for q in (1, -1):
+        yield deterministic_lg(q)
+        for b in (1, -1):
+            yield deterministic_bell(q, b)
+    for delta in (0, F(1, 2), 1):
+        for epsilon in (0, F(1, 4), F(1, 2)):
+            yield pr_signaling_family(delta, epsilon)
+
+
+def _seeded_systems(count):
+    for kind, seed in (("bell", 131), ("lg", 137)):
+        for i in range(count):
+            constraint = ("none", "no_signaling", "signaling_only")[i % 3]
+            yield random_system(kind, split_seed(seed, i), constraint)
+
+
+class TestPureProjection:
+    """The projection keeps its rows small by merging parallel rows alone."""
+
+    def test_no_lp_on_the_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the projection route built or solved an LP")
+
+        monkeypatch.setattr(fme, "LinearProgram", refuse)
+        monkeypatch.setattr(fme, "solve", refuse)
+        for sys in itertools.chain(_seeded_systems(12), _degenerate_systems()):
+            assert derive_delta_bounds(sys) == cyclic.delta_interval(sys)
+
+    def test_row_counts_per_step(self, monkeypatch):
+        counts = []
+
+        def recording(step):
+            def wrapped(*args):
+                out = step(*args)
+                counts.append(len(out.rows))
+                return out
+            return wrapped
+
+        monkeypatch.setattr(fme, "substitute_equality", recording(substitute_equality))
+        monkeypatch.setattr(fme, "eliminate", recording(eliminate))
+        for sys in itertools.chain(_seeded_systems(30), _degenerate_systems()):
+            counts.clear()
+            projected = project_to_delta(sys)
+            rank = len(cyclic.connection_marginal_pairs(sys))
+            assert len(counts) == rank
+            assert max(counts) <= (24 if rank == 4 else 14), counts
+            assert counts[-1] == len(projected.rows) == 2, counts

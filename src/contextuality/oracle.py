@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import cyclic
 from .core import OUTCOMES, System, as_fraction, max_signed_sum_odd
-from .ratlp import LinearProgram, LPOutcome, is_feasible, solve
+from .ratlp import LinearProgram, LPOutcome, is_feasible, solve, solve_extrema
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -181,7 +181,8 @@ def _template(kind: str, sense: str) -> LinearProgram:
     per chord (its 2x2 marginal in the triangle before it minus that in the
     triangle after it, bound 0). A "feasibility" program also pins each
     connection's mismatch row, the cells (+,-) and (-,+) of the triangle
-    holding it; a "min" or "max" program extremizes their sum instead. A
+    holding it; a "min" program minimizes their sum instead, and
+    ``solve_extrema`` reads the maximum off the same program. A
     connection's four cells lie in the span of the observed rows and its
     mismatch row, so that pin fixes its whole 2x2 table. Bell programs are
     36 x 48 (feasibility 40 x 48), temporal ones 24 x 32 (27 x 32).
@@ -273,9 +274,9 @@ def compatible(sys: System, connections: Sequence) -> bool:
     return _fits(sys, [as_fraction(c) for c in connections])
 
 
-def _extremum(sys: System, sense: str) -> LPOutcome:
-    """The optimal outcome of the ``sense`` ("min" or "max") total-mismatch program."""
-    outcome = solve(_program(sys, sense))
+def _optimal(outcome: LPOutcome, sense: str) -> LPOutcome:
+    """``outcome`` of the total-mismatch ``sense``imization, which valid
+    observed distributions always make optimal."""
     if outcome.status != "optimal":
         raise InternalInconsistencyError(
             f"mismatch {sense}imization reported {outcome.status}; "
@@ -284,9 +285,17 @@ def _extremum(sys: System, sense: str) -> LPOutcome:
     return outcome
 
 
+def _extrema(sys: System) -> tuple[LPOutcome, LPOutcome]:
+    """The optimal outcomes of the total-mismatch program, min then max,
+    from one phase 1."""
+    lo, hi = solve_extrema(_program(sys, "min"))
+    return _optimal(lo, "min"), _optimal(hi, "max")
+
+
 def delta_extrema(sys: System) -> tuple[Fraction, Fraction]:
     """(min, max) of the total connection mismatch over all compatible joints."""
-    return (_extremum(sys, "min").optimum, _extremum(sys, "max").optimum)
+    lo, hi = _extrema(sys)
+    return (lo.optimum, hi.optimum)
 
 
 def degree(sys: System, causal: bool = True) -> Fraction:
@@ -298,7 +307,8 @@ def degree(sys: System, causal: bool = True) -> Fraction:
     """
     if causal:
         cyclic.check_causal(sys)
-    return max(_ZERO, _extremum(sys, "min").optimum - cyclic.delta0(sys))
+    lo = _optimal(solve(_program(sys, "min")), "min")
+    return max(_ZERO, lo.optimum - cyclic.delta0(sys))
 
 
 @dataclass(frozen=True)
@@ -316,7 +326,7 @@ def report(sys: System, causal: bool = True) -> OracleResult:
     connection vector, and the joint-distribution witness of the minimum."""
     if causal:
         cyclic.check_causal(sys)
-    lo, hi = _extremum(sys, "min"), _extremum(sys, "max")
+    lo, hi = _extrema(sys)
     c0 = cyclic.minimal_connections(sys)
     return OracleResult(
         delta_min=lo.optimum,

@@ -25,6 +25,10 @@ Optimal solves carry a rational dual certificate, infeasible solves a Farkas
 certificate. Every answer is certified before it is returned: an optimum by
 its witness (checked against every constraint) and its dual (strong
 duality), an infeasibility by its Farkas vector.
+
+``solve_extrema`` minimizes and maximizes one objective with a single
+phase 1, which never prices by the objective row: both phase-2 runs start
+from the feasible tableau it leaves, and each answer is ``solve``'s.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import as_fraction
 
@@ -130,12 +134,20 @@ class LinearProgram:
             (coeffs, relation, as_fraction(bound))
             for (coeffs, relation, _), bound in zip(self.constraints, bounds)
         )
-        _compiled(self)
-        # Every field but the constraints, and the cached integer form, is
-        # shared; the coefficients were validated when ``self`` was built.
-        program = object.__new__(LinearProgram)
-        program.__dict__.update(self.__dict__, constraints=rows)
-        return program
+        return _derived(self, constraints=rows)
+
+
+def _derived(lp: LinearProgram, **fields) -> LinearProgram:
+    """``lp`` with ``fields`` replaced, unvalidated.
+
+    Every other field, and the cached integer form of the coefficient rows,
+    is shared with ``lp``: the caller changes neither the coefficients nor
+    the variables, which were validated when ``lp`` was built.
+    """
+    _compiled(lp)
+    program = object.__new__(LinearProgram)
+    program.__dict__.update(lp.__dict__, **fields)
+    return program
 
 
 def _compiled(lp: LinearProgram):
@@ -146,7 +158,7 @@ def _compiled(lp: LinearProgram):
     ``(s, scaled, nonzeros)``: ``s`` the lcm of the row's coefficient
     denominators, ``scaled`` the row times ``s`` over the structural
     columns, and ``nonzeros`` its ``(index, coefficient)`` pairs as stated.
-    Cached on ``lp``, and shared by ``with_bounds``.
+    Cached on ``lp``, and shared by every program ``_derived`` from it.
     """
     compiled = lp.__dict__.get("_compiled")
     if compiled is None:
@@ -208,7 +220,40 @@ def solve(lp: LinearProgram) -> LPOutcome:
     outcome passes ``check_certificate`` before it is returned; one that
     fails raises ``SolverError``.
     """
-    outcome = _simplex(lp)
+    feasible = _phase1(lp)
+    if isinstance(feasible, LPOutcome):
+        return _certified(lp, feasible)
+    return _certified(lp, _phase2(lp, feasible))
+
+
+def solve_extrema(lp: LinearProgram) -> tuple[LPOutcome, LPOutcome]:
+    """``(solve(min), solve(max))`` of ``lp``'s objective (its sense is
+    ignored), with one phase 1 for both.
+
+    Phase 1 prices by its own row alone, so the feasible tableau it leaves
+    is the one either solve reaches. Phase 2 minimizes on a copy of it and
+    maximizes on the tableau itself with the objective row negated: both
+    outcomes equal ``solve``'s, pivot for pivot, and each is certified
+    against its own sense. An infeasible ``lp`` gives one outcome for both.
+    """
+    if lp.objective is None:
+        raise LPConstructionError("extrema need an objective")
+    low, high = _derived(lp, sense="min"), _derived(lp, sense="max")
+    feasible = _phase1(low)
+    if isinstance(feasible, LPOutcome):
+        outcome = _certified(low, feasible)
+        return outcome, outcome
+    # Pivots replace tableau rows and never write into one, so a copy of
+    # the row list is a copy of the tableau.
+    lo = _phase2(low, feasible._replace(tab=list(feasible.tab), basis=list(feasible.basis)))
+    z = len(lp.constraints)
+    feasible.tab[z] = [-v for v in feasible.tab[z]]
+    hi = _phase2(high, feasible)
+    return _certified(low, lo), _certified(high, hi)
+
+
+def _certified(lp: LinearProgram, outcome: LPOutcome) -> LPOutcome:
+    """``outcome`` once ``check_certificate`` passes it; ``SolverError`` if not."""
     if outcome.status != "unbounded":
         try:
             check_certificate(lp, outcome)
@@ -217,10 +262,88 @@ def solve(lp: LinearProgram) -> LPOutcome:
     return outcome
 
 
-def _simplex(lp: LinearProgram) -> LPOutcome:
-    n_vars = len(lp.variables)
+_STALL_LIMIT = 12
+
+
+class _Feasible(NamedTuple):
+    """The tableau at the feasible basis phase 1 leaves: constraint rows,
+    then the objective row (times ``obj_scale``) if there is one. Column
+    ``n_real`` is the rhs, a basic variable's value its entry over
+    ``den * L``; ``units`` and ``restate`` are as built in ``_phase1``."""
+
+    tab: list[list[int]]
+    basis: list[int]
+    den: int
+    units: list[int]
+    restate: list[int]
+    n_real: int
+    L: int
+    obj_scale: int
+
+
+def _run(
+    tab: list[list[int]], basis: list[int], den: int, zi: int, m: int, n_real: int
+) -> tuple[str, int]:
+    """Pivot until row ``zi`` prices out; ``(status, den)``.
+
+    Dantzig entering (most negative reduced cost) while the objective moves;
+    after _STALL_LIMIT degenerate pivots in a row, Bland's rule until it
+    moves again, which rules out cycling. Only the constraint rows
+    ``0 .. m-1`` take part in the ratio test.
+    """
+    rhs = n_real
+    stall_limit = _STALL_LIMIT
+    stall = 0
+    prev_num, prev_den = tab[zi][rhs], den
+    while True:
+        z = tab[zi]
+        pos_den = den > 0
+        enter = -1
+        if stall < stall_limit:
+            best = 0
+            for j in range(n_real):
+                v = z[j]
+                if (v < best) if pos_den else (v > best):
+                    best = v
+                    enter = j
+        else:
+            for j in range(n_real):
+                v = z[j]
+                if v and (v < 0) == pos_den:
+                    enter = j
+                    break
+        if enter < 0:
+            return "optimal", den
+        leave = -1
+        lnum = lden = 0
+        for i in range(m):
+            t = tab[i][enter]
+            if t and (t > 0) == pos_den:
+                num = tab[i][rhs]
+                if leave < 0:
+                    leave, lnum, lden = i, num, t
+                else:
+                    left = num * lden
+                    right = lnum * t
+                    if left < right or (left == right and basis[i] < basis[leave]):
+                        leave, lnum, lden = i, num, t
+        if leave < 0:
+            return "unbounded", den
+        den = _pivot(tab, den, leave, enter)
+        basis[leave] = enter
+        num, dnm = tab[zi][rhs], den
+        if num * prev_den == prev_num * dnm:
+            stall += 1
+        else:
+            stall = 0
+            prev_num, prev_den = num, dnm
+
+
+def _phase1(lp: LinearProgram) -> _Feasible | LPOutcome:
+    """Build ``lp``'s tableau and pivot it to a feasible basis: the
+    ``_Feasible`` tableau, or the infeasible outcome with its Farkas vector."""
     if lp.sense == "feasibility":
-        minimize = [_ZERO] * n_vars
+        minimize = [_ZERO] * len(lp.variables)
     elif lp.sense == "min":
         minimize = list(lp.objective)
     else:
@@ -282,13 +405,12 @@ def _simplex(lp: LinearProgram) -> LPOutcome:
         row += [0] * (width - len(row))
     units = list(basis)
 
-    Z2 = -1
+    # The objective row rides along through phase 1, which never prices by it.
     obj_scale = lcm(*(c.denominator for c in minimize))
     if lp.sense != "feasibility":
         scaled = [c.numerator * (obj_scale // c.denominator) for c in minimize]
-        Z2 = len(tab)
         tab.append([scaled[var] * sign for var, sign in cols] + [0] * (width - n_struct))
-    Z1 = -1
+    den = 1
     if n_art:
         z1 = [0] * (n_real + 1) + [costs[k] for k in art_rows]
         for k in art_rows:
@@ -296,62 +418,7 @@ def _simplex(lp: LinearProgram) -> LPOutcome:
             z1 = [zc - c * tc for zc, tc in zip(z1, tab[k])]
         Z1 = len(tab)
         tab.append(z1)
-
-    den = 1
-    _STALL_LIMIT = 12
-
-    def run(zi: int) -> str:
-        # Dantzig entering (most negative reduced cost) while the objective
-        # moves; after _STALL_LIMIT degenerate pivots in a row, switch to
-        # Bland's rule until it moves again, which rules out cycling.
-        nonlocal den
-        stall = 0
-        prev_num, prev_den = tab[zi][rhs], den
-        while True:
-            z = tab[zi]
-            pos_den = den > 0
-            enter = -1
-            if stall < _STALL_LIMIT:
-                best = 0
-                for j in range(n_real):
-                    v = z[j]
-                    if (v < best) if pos_den else (v > best):
-                        best = v
-                        enter = j
-            else:
-                for j in range(n_real):
-                    v = z[j]
-                    if v and (v < 0) == pos_den:
-                        enter = j
-                        break
-            if enter < 0:
-                return "optimal"
-            leave = -1
-            lnum = lden = 0
-            for i in range(m):
-                t = tab[i][enter]
-                if t and (t > 0) == pos_den:
-                    num = tab[i][rhs]
-                    if leave < 0:
-                        leave, lnum, lden = i, num, t
-                    else:
-                        left = num * lden
-                        right = lnum * t
-                        if left < right or (left == right and basis[i] < basis[leave]):
-                            leave, lnum, lden = i, num, t
-            if leave < 0:
-                return "unbounded"
-            den = _pivot(tab, den, leave, enter)
-            basis[leave] = enter
-            num, dnm = tab[zi][rhs], den
-            if num * prev_den == prev_num * dnm:
-                stall += 1
-            else:
-                stall = 0
-                prev_num, prev_den = num, dnm
-
-    if n_art:
-        status = run(Z1)
+        status, den = _run(tab, basis, den, Z1, m, n_real)
         if status != "optimal":
             raise SolverError("phase-1 program reported unbounded")
         if tab[Z1][rhs] != 0:
@@ -373,17 +440,25 @@ def _simplex(lp: LinearProgram) -> LPOutcome:
                         den = _pivot(tab, den, i, j)
                         basis[i] = j
                         break
+    return _Feasible(tab, basis, den, units, restate, n_real, L, obj_scale)
 
+
+def _phase2(lp: LinearProgram, feasible: _Feasible) -> LPOutcome:
+    """Optimize ``lp``'s objective from ``feasible`` and read the outcome off:
+    the witness, and for an optimum with an objective its value and dual."""
+    cols, _ = _compiled(lp)
+    m = len(lp.constraints)
+    tab, basis, den, rhs, L = feasible.tab, feasible.basis, feasible.den, feasible.n_real, feasible.L
     if lp.sense != "feasibility":
-        status = run(Z2)
+        status, den = _run(tab, basis, den, m, m, rhs)
         if status == "unbounded":
             return LPOutcome(status="unbounded")
 
     # Extract the witness in original variable space (x = x' / L).
-    values = [_ZERO] * n_vars
+    values = [_ZERO] * len(lp.variables)
     for i in range(m):
         b = basis[i]
-        if b < n_struct:
+        if b < len(cols):
             var, sign = cols[b]
             values[var] += sign * Fraction(tab[i][rhs], den * L)
     witness = {name: values[j] for j, name in enumerate(lp.variables)}
@@ -393,11 +468,12 @@ def _simplex(lp: LinearProgram) -> LPOutcome:
             status="optimal", optimum=_ZERO, witness=witness, dual=(_ZERO,) * m
         )
 
-    objective_value = -Fraction(tab[Z2][rhs], den * L) / obj_scale
+    obj_scale = feasible.obj_scale
+    objective_value = -Fraction(tab[m][rhs], den * L) / obj_scale
     dual = []
-    for k, unit in enumerate(units):
-        y = -Fraction(tab[Z2][unit], den) / obj_scale
-        dual.append(y * restate[k])
+    for k, unit in enumerate(feasible.units):
+        y = -Fraction(tab[m][unit], den) / obj_scale
+        dual.append(y * feasible.restate[k])
     if lp.sense == "max":
         objective_value = -objective_value
         dual = [-y for y in dual]

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -230,7 +231,7 @@ class TestCertifiedAnswers:
     def test_every_solve_is_certified(self, monkeypatch):
         from contextuality import ratlp
 
-        calls = {"solve": 0, "check": 0}
+        calls = {"solve": 0, "extrema": 0, "check": 0}
 
         def counted(module, name, key):
             inner = getattr(module, name)
@@ -244,15 +245,18 @@ class TestCertifiedAnswers:
         # oracle calls its own import of solve, is_feasible reaches ratlp.solve
         counted(oracle, "solve", "solve")
         counted(ratlp, "solve", "solve")
+        counted(oracle, "solve_extrema", "extrema")
+        counted(ratlp, "solve_extrema", "extrema")
         counted(ratlp, "check_certificate", "check")
 
+        # one phase 1 for both extrema, each extremum certified
         oracle.delta_extrema(random_system("bell", 5))
-        assert calls == {"solve": 2, "check": 2}
+        assert calls == {"solve": 0, "extrema": 1, "check": 2}
         assert oracle.compatible(pr_signaling_family(F(1, 4), 0), (F(1, 16),) * 4)
-        assert calls == {"solve": 3, "check": 3}
+        assert calls == {"solve": 1, "extrema": 1, "check": 3}
         verdicts = oracle.compatibility_verdicts(lg_anticorrelated(), (1, 1, 1))
         assert verdicts == (False, False)
-        assert calls == {"solve": 4, "check": 4}
+        assert calls == {"solve": 2, "extrema": 1, "check": 4}
 
 
 class TestCompiledPrograms:
@@ -412,3 +416,62 @@ class TestDegenerateWitness:
             assert tuple(cells[: vm.n_observed_rows]) == oracle.observed_vector(sys), i
             connection = cells[vm.n_observed_rows :]
             assert sum(connection[1::4]) + sum(connection[2::4]) == result.delta_min, i
+
+
+def _seeded_and_degenerate(kind, seed):
+    for i in range(12):
+        yield random_system(kind, split_seed(seed, i), ("none", "no_signaling")[i % 2])
+    yield from _degenerate_systems(kind, seed)
+
+
+class TestSharedPhaseOne:
+    """Both extrema come from one phase 1 and equal two separate solves."""
+
+    @pytest.mark.parametrize("kind, seed", [("bell", 401), ("lg", 409)])
+    def test_equal_to_two_solves(self, kind, seed):
+        for i, sys in enumerate(_seeded_and_degenerate(kind, seed)):
+            low = oracle._program(sys, "min")
+            lo = ratlp.solve(low)
+            hi = ratlp.solve(replace(low, sense="max"))
+            assert repr(oracle.delta_extrema(sys)) == repr((lo.optimum, hi.optimum)), i
+            result = oracle.report(sys, causal=False)
+            assert repr((result.delta_min, result.delta_max)) == repr((lo.optimum, hi.optimum)), i
+            assert repr(result.witness_joint) == repr(oracle._joint(kind, lo.witness)), i
+
+    def test_two_templates_per_kind(self):
+        for kind in ("bell", "lg"):
+            sys = random_system(kind, 1)
+            oracle.report(sys, causal=False)
+            oracle.degree(sys, causal=False)
+            oracle.compatibility_verdicts(sys, random_connection_means(sys, 1, False))
+        assert oracle._template.cache_info().currsize == 4  # "feasibility" and "min"
+
+    def test_results_unchanged_with_wrapped_module_names(self, monkeypatch):
+        # a tracer swaps oracle.LinearProgram and the solve names for plain
+        # functions; the oracle must not rely on those names being the class
+        # or the solver itself
+        systems = [random_system(kind, seed) for kind in ("bell", "lg") for seed in (3, 4)]
+        systems.append(pr_signaling_family(1, 0))
+
+        def answers():
+            return [
+                (
+                    oracle.delta_extrema(sys),
+                    oracle.report(sys, causal=False),
+                    oracle.compatible(sys, cyclic.minimal_connections(sys).components()),
+                )
+                for sys in systems
+            ]
+
+        expected = answers()
+
+        def wrapped(fn):
+            def wrapper(*args, **kwargs):
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module, name in ((oracle, "LinearProgram"), (oracle, "solve"), (ratlp, "solve")):
+            monkeypatch.setattr(module, name, wrapped(getattr(module, name)))
+        oracle._template.cache_clear()  # templates are built through the wrapper
+        assert repr(answers()) == repr(expected)

@@ -13,6 +13,7 @@ from contextuality.ratlp import (
     check_certificate,
     is_feasible,
     solve,
+    solve_extrema,
 )
 from helpers import brute_force_lp
 
@@ -316,6 +317,79 @@ class TestAgainstBruteForce:
         scaled = replace(lp, constraints=tuple(rows))
         out, scaled_out = solve(lp), solve(scaled)
         assert (scaled_out.status, scaled_out.optimum) == (out.status, out.optimum)
+
+
+@st.composite
+def objective_programs(draw):
+    """``bounded_programs`` with an objective, with any of the box rows
+    dropped: such a program can be unbounded in one direction, or both."""
+    lp = draw(bounded_programs().filter(lambda lp: lp.objective is not None))
+    box_rows = 2 * len(lp.variables)
+    keep = draw(st.lists(st.booleans(), min_size=box_rows, max_size=box_rows))
+    box = lp.constraints[-box_rows:]
+    rows = lp.constraints[:-box_rows] + tuple(row for row, kept in zip(box, keep) if kept)
+    return replace(lp, constraints=rows)
+
+
+class TestSolveExtrema:
+    @settings(max_examples=300, deadline=None)
+    @given(objective_programs())
+    def test_equals_solve_on_min_and_max(self, lp):
+        lo, hi = solve_extrema(lp)
+        assert repr(lo) == repr(solve(replace(lp, sense="min")))
+        assert repr(hi) == repr(solve(replace(lp, sense="max")))
+
+    def test_infeasible_gives_one_certified_farkas_vector(self, monkeypatch):
+        from contextuality import ratlp
+
+        lp = LinearProgram(
+            ("x", "y"),
+            (((1, 1), "<=", 1), ((1, -1), ">=", F(5, 2))),
+            objective=(1, 2),
+            sense="max",
+            nonneg=frozenset({"x", "y"}),
+        )
+        checks = []
+        check = ratlp.check_certificate
+
+        def counted(*args):
+            checks.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(ratlp, "check_certificate", counted)
+        lo, hi = solve_extrema(lp)
+        assert lo is hi and lo.status == "infeasible" and len(checks) == 1
+        assert repr(lo) == repr(solve(lp))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_unbounded_in_one_direction(self, sign):
+        # x >= 0, y in [-1, 2]: sign * x + y is bounded on one side only
+        lp = LinearProgram(
+            ("x", "y"),
+            (((0, 1), "<=", 2), ((0, 1), ">=", -1)),
+            objective=(sign, 1),
+            sense="min",
+            nonneg=frozenset({"x"}),
+        )
+        lo, hi = solve_extrema(lp)
+        bounded, unbounded = (lo, hi) if sign == 1 else (hi, lo)
+        assert (bounded.status, bounded.optimum, unbounded.status) == (
+            "optimal", -1 if sign == 1 else 2, "unbounded"
+        )
+        assert repr(lo) == repr(solve(lp))
+        assert repr(hi) == repr(solve(replace(lp, sense="max")))
+
+    def test_max_is_certified_against_its_own_sense(self):
+        lp = _mixed_program()
+        lo, hi = solve_extrema(lp)
+        check_certificate(replace(lp, sense="min"), lo)
+        check_certificate(lp, hi)
+        with pytest.raises(CertificateError):
+            check_certificate(replace(lp, sense="min"), hi)
+
+    def test_requires_an_objective(self):
+        with pytest.raises(LPConstructionError):
+            solve_extrema(LinearProgram(("x",), (((1,), "<=", 1),)))
 
 
 def _mixed_program():

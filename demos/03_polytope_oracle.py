@@ -24,8 +24,8 @@ print(f"every atom column hits one cell per pair group: column sum = {first_colu
 # The oracle asks the same questions of one 8-cell table per triangle of the
 # fanned variable cycle: exact, since tables that agree on a chordal cover
 # extend to a joint distribution. Shapes of its compiled "min" program (the
-# maximum is read off the same program, after one shared phase 1) and its
-# "feasibility" program next to the atom programs over the columns of M:
+# "max" program has the same rows, and all three start from the basis of one
+# phase 1) and its "feasibility" program next to the atom programs over M:
 n_conn = (vm.n_rows - vm.n_observed_rows) // 4
 for sense, atom_rows in (("min", vm.n_observed_rows), ("feasibility", vm.n_observed_rows + n_conn)):
     chordal = oracle._template("bell", sense)

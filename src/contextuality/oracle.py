@@ -20,7 +20,7 @@ against this module, never the other way around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import cyclic
 from .core import OUTCOMES, System, as_fraction, max_signed_sum_odd
-from .ratlp import LinearProgram, LPOutcome, is_feasible, solve, solve_extrema
+from .ratlp import LinearProgram, LPOutcome, compile_start, solve_warm as solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -175,18 +175,28 @@ def _row(n_cols: int, plus: Sequence[int], minus: Sequence[int] = ()) -> tuple[F
 
 @lru_cache(maxsize=None)
 def _template(kind: str, sense: str) -> LinearProgram:
-    """The chordal coupling program of ``kind`` with every bound 0, compiled once.
+    """The chordal coupling program of ``kind`` and ``sense``, with the start
+    that ``solve`` solves each system's program from.
 
     Cells q >= 0, one equality per observed cell, then four separator rows
     per chord (its 2x2 marginal in the triangle before it minus that in the
-    triangle after it, bound 0). A "feasibility" program also pins each
-    connection's mismatch row, the cells (+,-) and (-,+) of the triangle
-    holding it; a "min" program minimizes their sum instead, and
-    ``solve_extrema`` reads the maximum off the same program. A
+    triangle after it, bound 0). A "min" or "max" program extremizes the sum
+    of the connections' mismatch rows, the cells (+,-) and (-,+) of the
+    triangle holding each; a "feasibility" program pins each one instead. A
     connection's four cells lie in the span of the observed rows and its
     mismatch row, so that pin fixes its whole 2x2 table. Bell programs are
     36 x 48 (feasibility 40 x 48), temporal ones 24 x 32 (27 x 32).
+
+    The separator rows give every triangle one mass, and each pair's cells
+    sum to the mass of a triangle: n - 1 rows depend on the others and keep
+    their artificials basic in every start, at zero exactly when all pairs
+    have one mass. The bounds, every observed cell 1/4, fix the starts: the
+    "min" start by phase 1 and 2, the "max" one by phase 2 from the same
+    phase 1, and the "feasibility" one is the "min" one plus mismatch rows.
     """
+    if sense == "max":
+        low = _template(kind, "min")
+        return compile_start(replace(low, sense="max"), low)
     _, observed, connections = _CYCLES[kind]
     fan = _fan(kind)
     n_cols = 8 * len(fan)
@@ -204,13 +214,14 @@ def _template(kind: str, sense: str) -> LinearProgram:
     if sense == "feasibility":
         rows += mismatch
     names = _cell_names(kind)
-    return LinearProgram(
+    program = LinearProgram(
         names,
-        tuple((row, "==", _ZERO) for row in rows),
+        tuple((row, "==", Fraction(k < 4 * len(observed), 4)) for k, row in enumerate(rows)),
         objective=None if sense == "feasibility" else tuple(map(sum, zip(*mismatch))),
         sense=sense,
         nonneg=frozenset(names),
     )
+    return compile_start(program, _template(kind, "min") if sense == "feasibility" else None)
 
 
 def _program(sys: System, sense: str, mismatches: Sequence[Fraction] = ()) -> LinearProgram:
@@ -260,7 +271,7 @@ def _fits(sys: System, mismatches: Sequence[Fraction]) -> bool:
     expected = len(_CYCLES[sys.KIND][2])
     if len(mismatches) != expected:
         raise ValueError(f"expected {expected} connection values, got {len(mismatches)}")
-    return is_feasible(_program(sys, "feasibility", mismatches))
+    return solve(_program(sys, "feasibility", mismatches)).status == "optimal"
 
 
 def compatible(sys: System, connections: Sequence) -> bool:
@@ -286,10 +297,9 @@ def _optimal(outcome: LPOutcome, sense: str) -> LPOutcome:
 
 
 def _extrema(sys: System) -> tuple[LPOutcome, LPOutcome]:
-    """The optimal outcomes of the total-mismatch program, min then max,
-    from one phase 1."""
-    lo, hi = solve_extrema(_program(sys, "min"))
-    return _optimal(lo, "min"), _optimal(hi, "max")
+    """The optimal outcomes of the total-mismatch program, min then max."""
+    lo = _optimal(solve(_program(sys, "min")), "min")
+    return lo, _optimal(solve(_program(sys, "max")), "max")
 
 
 def delta_extrema(sys: System) -> tuple[Fraction, Fraction]:

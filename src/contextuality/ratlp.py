@@ -1,38 +1,32 @@
 """Exact linear programming over the rationals.
 
-Two-phase primal simplex with Dantzig pricing that falls back to Bland's
-anti-cycling rule after a run of degenerate pivots. The tableau is kept
-fraction-free: entries are integers sharing a single denominator (the
-determinant of the current basis), so a pivot needs only integer
-multiply/subtract and one exact division per cell.
+Two simplex methods work one fraction-free tableau: entries are integers
+sharing a single denominator (the determinant of the current basis), so a
+pivot needs only integer multiply/subtract and one exact division per cell.
+Both price by Dantzig's rule and fall back to Bland's anti-cycling rule
+after a run of degenerate pivots.
 
-The integers stay as small as the coefficients. Each constraint row is
-scaled by ``s_k``, the lcm of its coefficient denominators only, and the
-bounds by one program-wide factor ``L`` that clears the rest of their
-denominators: the tableau solves for ``x' = L x``, so only its rhs column
-carries the bounds' denominators, and the witness and optimum are divided by
-``L`` on the way out. Artificial ``k`` costs ``lcm(s_k, d_k) / s_k`` in
-phase 1 (``d_k`` its bound's denominator), which is the phase-1 objective of
-rows scaled by all their denominators, up to the factor ``L``: a program of
-equality rows pivots exactly as it would on that fully scaled tableau.
+``solve`` runs the two-phase primal simplex on any program. Each row is
+scaled by the lcm of its coefficient denominators only and the bounds by
+one program-wide factor ``L``, so the integers stay as small as the
+coefficients and only the rhs column carries the bounds' denominators (see
+``_phase1``).
 
-The integer form of the coefficient rows is computed once per program and
-shared by every program ``LinearProgram.with_bounds`` derives from it, so a
-fixed constraint matrix solved against many right-hand sides is read and
-scaled once.
+``solve_warm`` runs the dual simplex on the programs ``with_bounds`` derives
+from one template, which share its rows and their integer form. Reduced
+costs do not depend on the bounds, so the basis ``compile_start`` fixes once,
+at the template's own bounds, prices out for all of them: each starts there,
+with no phase 1.
 
 Optimal solves carry a rational dual certificate, infeasible solves a Farkas
 certificate. Every answer is certified before it is returned: an optimum by
 its witness (checked against every constraint) and its dual (strong
 duality), an infeasibility by its Farkas vector.
-
-``solve_extrema`` minimizes and maximizes one objective with a single
-phase 1, which never prices by the objective row: both phase-2 runs start
-from the feasible tableau it leaves, and each answer is ``solve``'s.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -40,7 +34,7 @@ from typing import NamedTuple, Optional
 
 from .core import as_fraction
 
-_RELATIONS = ("<=", "==", ">=")
+_COMPARE = {"<=": operator.le, "==": operator.eq, ">=": operator.ge}
 _SENSES = ("min", "max", "feasibility")
 
 _ZERO = Fraction(0)
@@ -92,7 +86,7 @@ class LinearProgram:
                 raise LPConstructionError(
                     f"constraint {k}: {len(coeffs)} coefficients for {n} variables"
                 )
-            if relation not in _RELATIONS:
+            if relation not in _COMPARE:
                 raise LPConstructionError(f"constraint {k}: unknown relation {relation!r}")
             rows.append((coeffs, relation, as_fraction(bound)))
         if self.sense not in _SENSES:
@@ -121,9 +115,10 @@ class LinearProgram:
     def with_bounds(self, bounds) -> LinearProgram:
         """This program with the constraint bounds replaced by ``bounds``.
 
-        The coefficient rows, already validated, are shared with ``self``,
-        and so is their integer form, which is computed once for every
-        program derived this way.
+        Everything else is shared with ``self``, unvalidated: the coefficient
+        rows, already validated, their integer form, which is computed once
+        for every program derived this way, and a start ``compile_start``
+        cached on ``self``.
         """
         bounds = tuple(bounds)
         if len(bounds) != len(self.constraints):
@@ -134,23 +129,13 @@ class LinearProgram:
             (coeffs, relation, as_fraction(bound))
             for (coeffs, relation, _), bound in zip(self.constraints, bounds)
         )
-        return _derived(self, constraints=rows)
+        _compiled(self)
+        program = object.__new__(LinearProgram)
+        program.__dict__.update(self.__dict__, constraints=rows)
+        return program
 
 
-def _derived(lp: LinearProgram, **fields) -> LinearProgram:
-    """``lp`` with ``fields`` replaced, unvalidated.
-
-    Every other field, and the cached integer form of the coefficient rows,
-    is shared with ``lp``: the caller changes neither the coefficients nor
-    the variables, which were validated when ``lp`` was built.
-    """
-    _compiled(lp)
-    program = object.__new__(LinearProgram)
-    program.__dict__.update(lp.__dict__, **fields)
-    return program
-
-
-def _compiled(lp: LinearProgram):
+def _compiled(lp: LinearProgram, base: Optional[LinearProgram] = None):
     """``(cols, rows)``, the integer form of ``lp``'s coefficient rows.
 
     ``cols`` lists the structural columns as ``(variable, sign)``: one per
@@ -158,7 +143,8 @@ def _compiled(lp: LinearProgram):
     ``(s, scaled, nonzeros)``: ``s`` the lcm of the row's coefficient
     denominators, ``scaled`` the row times ``s`` over the structural
     columns, and ``nonzeros`` its ``(index, coefficient)`` pairs as stated.
-    Cached on ``lp``, and shared by every program ``_derived`` from it.
+    Cached on ``lp``, and shared by every program ``with_bounds`` derives;
+    the rows of ``base``, which lead ``lp``'s, share ``base``'s.
     """
     compiled = lp.__dict__.get("_compiled")
     if compiled is None:
@@ -167,8 +153,8 @@ def _compiled(lp: LinearProgram):
             cols.append((j, 1))
             if name not in lp.nonneg:
                 cols.append((j, -1))
-        rows = []
-        for coeffs, _, _ in lp.constraints:
+        rows = list(_compiled(base)[1]) if base else []
+        for coeffs, _, _ in lp.constraints[len(rows) :]:
             s = lcm(*(c.denominator for c in coeffs))
             a = [c.numerator * (s // c.denominator) for c in coeffs]
             nonzeros = tuple((j, c) for j, c in enumerate(coeffs) if c)
@@ -211,45 +197,22 @@ def _pivot(tab: list[list[int]], den: int, r: int, s: int) -> int:
 
 
 def solve(lp: LinearProgram) -> LPOutcome:
-    """Solve ``lp`` exactly over the rationals.
+    """Solve ``lp`` exactly over the rationals by the two-phase primal simplex.
 
-    Deterministic: Dantzig pricing (most negative reduced cost, lowest index
-    on ties), switching to Bland's rule after ``_STALL_LIMIT`` degenerate
-    pivots in a row, with lowest-basis-index ratio ties; identical programs
-    yield identical outcomes and witnesses. Every optimal or infeasible
-    outcome passes ``check_certificate`` before it is returned; one that
-    fails raises ``SolverError``.
+    Deterministic (see ``_run``): identical programs give identical outcomes.
+    Every optimal or infeasible outcome passes ``check_certificate`` before
+    it is returned; one that fails raises ``SolverError``.
     """
-    feasible = _phase1(lp)
-    if isinstance(feasible, LPOutcome):
-        return _certified(lp, feasible)
-    return _certified(lp, _phase2(lp, feasible))
-
-
-def solve_extrema(lp: LinearProgram) -> tuple[LPOutcome, LPOutcome]:
-    """``(solve(min), solve(max))`` of ``lp``'s objective (its sense is
-    ignored), with one phase 1 for both.
-
-    Phase 1 prices by its own row alone, so the feasible tableau it leaves
-    is the one either solve reaches. Phase 2 minimizes on a copy of it and
-    maximizes on the tableau itself with the objective row negated: both
-    outcomes equal ``solve``'s, pivot for pivot, and each is certified
-    against its own sense. An infeasible ``lp`` gives one outcome for both.
-    """
-    if lp.objective is None:
-        raise LPConstructionError("extrema need an objective")
-    low, high = _derived(lp, sense="min"), _derived(lp, sense="max")
-    feasible = _phase1(low)
-    if isinstance(feasible, LPOutcome):
-        outcome = _certified(low, feasible)
-        return outcome, outcome
-    # Pivots replace tableau rows and never write into one, so a copy of
-    # the row list is a copy of the tableau.
-    lo = _phase2(low, feasible._replace(tab=list(feasible.tab), basis=list(feasible.basis)))
-    z = len(lp.constraints)
-    feasible.tab[z] = [-v for v in feasible.tab[z]]
-    hi = _phase2(high, feasible)
-    return _certified(low, lo), _certified(high, hi)
+    t = _phase1(lp)
+    if isinstance(t, LPOutcome):
+        return _certified(lp, t)
+    if lp.sense != "feasibility":
+        m = len(lp.constraints)
+        k, den = _run(t.tab, t.basis, t.den, m, m, t.n_real)
+        if k >= 0:
+            return LPOutcome(status="unbounded")
+        t = t._replace(den=den)
+    return _certified(lp, _readout(lp, t))
 
 
 def _certified(lp: LinearProgram, outcome: LPOutcome) -> LPOutcome:
@@ -265,11 +228,10 @@ def _certified(lp: LinearProgram, outcome: LPOutcome) -> LPOutcome:
 _STALL_LIMIT = 12
 
 
-class _Feasible(NamedTuple):
-    """The tableau at the feasible basis phase 1 leaves: constraint rows,
-    then the objective row (times ``obj_scale``) if there is one. Column
-    ``n_real`` is the rhs, a basic variable's value its entry over
-    ``den * L``; ``units`` and ``restate`` are as built in ``_phase1``."""
+class _Tableau(NamedTuple):
+    """A tableau at some basis: constraint rows, then the objective row (times
+    ``obj_scale``) if any. Column ``n_real`` is the rhs, a basic value its entry
+    over ``den * L``; ``units`` and ``restate`` are as built in ``_phase1``."""
 
     tab: list[list[int]]
     basis: list[int]
@@ -282,72 +244,85 @@ class _Feasible(NamedTuple):
 
 
 def _run(
-    tab: list[list[int]], basis: list[int], den: int, zi: int, m: int, n_real: int
-) -> tuple[str, int]:
-    """Pivot until row ``zi`` prices out; ``(status, den)``.
+    tab: list[list[int]], basis: list[int], den: int, zi: int, m: int, n_real: int, dual=False
+) -> tuple[int, int]:
+    """Pivot until row ``zi`` prices out or, ``dual``, until no basic value
+    is negative while it stays priced out (``zi`` -1: a zero objective).
 
-    Dantzig entering (most negative reduced cost) while the objective moves;
-    after _STALL_LIMIT degenerate pivots in a row, Bland's rule until it
-    moves again, which rules out cycling. Only the constraint rows
-    ``0 .. m-1`` take part in the ratio test.
+    Primal, the most negative reduced cost enters; dual, the most negative
+    value leaves. The ratio test along that column (over rows ``0 .. m-1``)
+    or row picks the other end, ties to the lowest basis index or column.
+    After _STALL_LIMIT degenerate pivots in a row, Bland's rule takes the
+    lowest-index line until the objective moves again, which rules out
+    cycling. Returns ``(k, den)``, ``k`` -1 or a line with no pivot: an
+    unbounded column, or a row no point makes nonnegative.
     """
-    rhs = n_real
-    stall_limit = _STALL_LIMIT
-    stall = 0
-    prev_num, prev_den = tab[zi][rhs], den
+    rhs, stall = n_real, 0
+    z = tab[zi] if zi >= 0 else [0] * (rhs + 1)
+    prev_num, prev_den = z[rhs], den
     while True:
-        z = tab[zi]
         pos_den = den > 0
-        enter = -1
-        if stall < stall_limit:
-            best = 0
-            for j in range(n_real):
-                v = z[j]
+        prices, keys = ([row[rhs] for row in tab[:m]], basis) if dual else (z[:rhs], range(rhs))
+        first, best = -1, 0
+        if stall < _STALL_LIMIT:
+            for k, v in enumerate(prices):
                 if (v < best) if pos_den else (v > best):
-                    best = v
-                    enter = j
+                    best, first = v, k
         else:
-            for j in range(n_real):
-                v = z[j]
-                if v and (v < 0) == pos_den:
-                    enter = j
-                    break
-        if enter < 0:
-            return "optimal", den
-        leave = -1
-        lnum = lden = 0
-        for i in range(m):
-            t = tab[i][enter]
+            for k, v in enumerate(prices):
+                if v and (v < 0) == pos_den and (first < 0 or keys[k] < keys[first]):
+                    first = k
+        if first < 0:
+            return -1, den
+        if dual:
+            line, keys = [(z[j], -v) for j, v in enumerate(tab[first][:rhs])], range(rhs)
+        else:
+            line, keys = [(row[rhs], row[first]) for row in tab[:m]], basis
+        second, lnum, lden = -1, 0, 0
+        for k, (num, t) in enumerate(line):
             if t and (t > 0) == pos_den:
-                num = tab[i][rhs]
-                if leave < 0:
-                    leave, lnum, lden = i, num, t
-                else:
-                    left = num * lden
-                    right = lnum * t
-                    if left < right or (left == right and basis[i] < basis[leave]):
-                        leave, lnum, lden = i, num, t
-        if leave < 0:
-            return "unbounded", den
+                left, right = num * lden, lnum * t
+                if second < 0 or left < right or (left == right and keys[k] < keys[second]):
+                    second, lnum, lden = k, num, t
+        if second < 0:
+            return first, den
+        leave, enter = (first, second) if dual else (second, first)
         den = _pivot(tab, den, leave, enter)
         basis[leave] = enter
-        num, dnm = tab[zi][rhs], den
-        if num * prev_den == prev_num * dnm:
+        if zi >= 0:
+            z = tab[zi]
+        if z[rhs] * prev_den == prev_num * den:
             stall += 1
         else:
-            stall = 0
-            prev_num, prev_den = num, dnm
+            stall, prev_num, prev_den = 0, z[rhs], den
 
 
-def _phase1(lp: LinearProgram) -> _Feasible | LPOutcome:
+def _drive_out(tab: list[list[int]], basis: list[int], den: int, m: int, n_real: int) -> int:
+    """Pivot each basic artificial out on its row's first real entry; a row
+    with none depends on the others and keeps it. Returns the denominator."""
+    for i in range(m):
+        if basis[i] > n_real:
+            j = next((j for j in range(n_real) if tab[i][j]), -1)
+            if j >= 0:
+                den = _pivot(tab, den, i, j)
+                basis[i] = j
+    return den
+
+
+def _scaled_bounds(lp: LinearProgram) -> tuple[list[int], int, list[int]]:
+    """``(costs, L, b)``: each row's ``c_k``, the program-wide ``L`` and
+    each bound times ``s_k * L``, an integer (see ``_phase1``)."""
+    _, rows = _compiled(lp)
+    pairs = [(s, b) for (s, _, _), (_, _, b) in zip(rows, lp.constraints)]
+    costs = [b.denominator // gcd(s, b.denominator) for s, b in pairs]
+    L = lcm(*costs)
+    scaled = [b.numerator * (s * c // b.denominator) * (L // c) for c, (s, b) in zip(costs, pairs)]
+    return costs, L, scaled
+
+
+def _phase1(lp: LinearProgram) -> _Tableau | LPOutcome:
     """Build ``lp``'s tableau and pivot it to a feasible basis: the
-    ``_Feasible`` tableau, or the infeasible outcome with its Farkas vector."""
-    if lp.sense == "feasibility":
-        minimize = [_ZERO] * len(lp.variables)
-    elif lp.sense == "min":
-        minimize = list(lp.objective)
-    else:
-        minimize = [-c for c in lp.objective]
+    ``_Tableau`` there, or the infeasible outcome with its Farkas vector."""
     cols, scaled_rows = _compiled(lp)
     n_struct = len(cols)
 
@@ -360,11 +335,7 @@ def _phase1(lp: LinearProgram) -> _Feasible | LPOutcome:
     # lcm(s_k, d_k): equality rows pivot as they would on that tableau, while
     # every entry outside the rhs column stays as small as the coefficients.
     m = len(lp.constraints)
-    costs = [
-        bound.denominator // gcd(s, bound.denominator)
-        for (s, _, _), (_, _, bound) in zip(scaled_rows, lp.constraints)
-    ]
-    L = lcm(*costs)
+    costs, L, bounds = _scaled_bounds(lp)
 
     # Tableau columns: struct | slack | rhs | artificial. Each row is signed
     # so that its rhs is nonnegative; ``restate[k]`` (sign times s_k) maps
@@ -378,9 +349,9 @@ def _phase1(lp: LinearProgram) -> _Feasible | LPOutcome:
     restate: list[int] = []
     art_rows: list[int] = []
     slack = n_struct
-    for k, ((s, scaled, _), (_, relation, bound)) in enumerate(zip(scaled_rows, lp.constraints)):
-        c = costs[k]
-        b = bound.numerator * (s * c // bound.denominator) * (L // c)
+    for k, ((s, scaled, _), (_, relation, _), b) in enumerate(
+        zip(scaled_rows, lp.constraints, bounds)
+    ):
         to_le = -1 if relation == ">=" else 1
         flip = to_le if to_le * b >= 0 else -to_le
         row = list(scaled) if flip == 1 else [-v for v in scaled]
@@ -399,60 +370,47 @@ def _phase1(lp: LinearProgram) -> _Feasible | LPOutcome:
         tab.append(row)
         basis.append(unit)
         restate.append(flip * s)
-    n_art = len(art_rows)
-    width = n_real + 1 + n_art
+    width = n_real + 1 + len(art_rows)
     for row in tab:
         row += [0] * (width - len(row))
     units = list(basis)
 
     # The objective row rides along through phase 1, which never prices by it.
+    minimize = [-c if lp.sense == "max" else c for c in lp.objective or ()]
     obj_scale = lcm(*(c.denominator for c in minimize))
     if lp.sense != "feasibility":
         scaled = [c.numerator * (obj_scale // c.denominator) for c in minimize]
         tab.append([scaled[var] * sign for var, sign in cols] + [0] * (width - n_struct))
     den = 1
-    if n_art:
+    if art_rows:
         z1 = [0] * (n_real + 1) + [costs[k] for k in art_rows]
         for k in art_rows:
             c = costs[k]
             z1 = [zc - c * tc for zc, tc in zip(z1, tab[k])]
         Z1 = len(tab)
         tab.append(z1)
-        status, den = _run(tab, basis, den, Z1, m, n_real)
-        if status != "optimal":
+        k, den = _run(tab, basis, den, Z1, m, n_real)
+        if k >= 0:
             raise SolverError("phase-1 program reported unbounded")
         if tab[Z1][rhs] != 0:
             # Infeasible: the phase-1 duals give a Farkas certificate.
             # Artificial k's unit column costs c_k in phase 1, a slack 0.
-            farkas = []
-            for k, unit in enumerate(units):
-                y = (costs[k] if unit > rhs else 0) - Fraction(tab[Z1][unit], den)
-                farkas.append(y * restate[k])
+            farkas = (
+                ((costs[k] if unit > rhs else 0) - Fraction(tab[Z1][unit], den)) * restate[k]
+                for k, unit in enumerate(units)
+            )
             return LPOutcome(status="infeasible", farkas=tuple(farkas))
         tab.pop(Z1)  # the phase-1 row is dead from here on
-        # Drive basic artificials out; rows with no real coefficients left are
-        # redundant and stay inert (their artificial sits at value zero).
-        for i in range(m):
-            if basis[i] >= n_real:
-                row = tab[i]
-                for j in range(n_real):
-                    if row[j]:
-                        den = _pivot(tab, den, i, j)
-                        basis[i] = j
-                        break
-    return _Feasible(tab, basis, den, units, restate, n_real, L, obj_scale)
+        den = _drive_out(tab, basis, den, m, n_real)
+    return _Tableau(tab, basis, den, units, restate, n_real, L, obj_scale)
 
 
-def _phase2(lp: LinearProgram, feasible: _Feasible) -> LPOutcome:
-    """Optimize ``lp``'s objective from ``feasible`` and read the outcome off:
-    the witness, and for an optimum with an objective its value and dual."""
+def _readout(lp: LinearProgram, t: _Tableau) -> LPOutcome:
+    """The optimal outcome at tableau ``t``, whose basis is feasible and
+    prices out: the witness, and with an objective its value and dual."""
     cols, _ = _compiled(lp)
     m = len(lp.constraints)
-    tab, basis, den, rhs, L = feasible.tab, feasible.basis, feasible.den, feasible.n_real, feasible.L
-    if lp.sense != "feasibility":
-        status, den = _run(tab, basis, den, m, m, rhs)
-        if status == "unbounded":
-            return LPOutcome(status="unbounded")
+    tab, basis, den, rhs, L = t.tab, t.basis, t.den, t.n_real, t.L
 
     # Extract the witness in original variable space (x = x' / L).
     values = [_ZERO] * len(lp.variables)
@@ -464,22 +422,109 @@ def _phase2(lp: LinearProgram, feasible: _Feasible) -> LPOutcome:
     witness = {name: values[j] for j, name in enumerate(lp.variables)}
 
     if lp.sense == "feasibility":
-        return LPOutcome(
-            status="optimal", optimum=_ZERO, witness=witness, dual=(_ZERO,) * m
-        )
-
-    obj_scale = feasible.obj_scale
-    objective_value = -Fraction(tab[m][rhs], den * L) / obj_scale
-    dual = []
-    for k, unit in enumerate(feasible.units):
-        y = -Fraction(tab[m][unit], den) / obj_scale
-        dual.append(y * feasible.restate[k])
-    if lp.sense == "max":
-        objective_value = -objective_value
-        dual = [-y for y in dual]
+        return LPOutcome(status="optimal", optimum=_ZERO, witness=witness, dual=(_ZERO,) * m)
+    # The objective row holds minus the objective (times L) and minus the
+    # duals, both times den * obj_scale; "max" minimized the negation.
+    sign = 1 if lp.sense == "max" else -1
+    scale = den * t.obj_scale
     return LPOutcome(
-        status="optimal", optimum=objective_value, witness=witness, dual=tuple(dual)
+        status="optimal",
+        optimum=sign * Fraction(tab[m][rhs], scale * L),
+        witness=witness,
+        dual=tuple(sign * Fraction(tab[m][u] * r, scale) for u, r in zip(t.units, t.restate)),
     )
+
+
+def compile_start(lp: LinearProgram, base: Optional[LinearProgram] = None) -> LinearProgram:
+    """Cache on ``lp``, and return it, the start from which ``solve_warm``
+    solves every program derived from ``lp``: ``lp``'s tableau at the basis
+    where the primal simplex ends on ``lp``'s own bounds.
+
+    With ``base``, a program compiled without one, no phase 1 runs. ``base``
+    in the other sense negates its objective row in the feasible tableau of
+    ``base``'s phase 1 and optimizes from there. A feasibility program whose
+    first rows are ``base``'s reduces its further rows, equalities, against
+    ``base``'s start and pivots their artificials out (a zero objective
+    prices out at any basis).
+    """
+    m, optimize = len(lp.constraints), lp.sense != "feasibility"
+    if base is None:
+        t = _phase1(lp)
+        if isinstance(t, LPOutcome):
+            raise LPConstructionError("the bounds of a start must admit a point")
+        feasible = t._replace(tab=tuple(map(tuple, t.tab)), basis=tuple(t.basis))
+        object.__setattr__(lp, "_feasible", feasible)
+    else:
+        t, m0 = base.__dict__.get("_feasible" if optimize else "_start"), len(base.constraints)
+        if (
+            t is None
+            or (lp.variables, lp.nonneg) != (base.variables, base.nonneg)
+            or [c[:2] for c in lp.constraints[:m0]] != [c[:2] for c in base.constraints]
+            or optimize and (lp.objective != base.objective or m > m0 or lp.sense == base.sense)
+            or any(c[1] != "==" for c in lp.constraints[m0:])
+        ):
+            raise LPConstructionError("lp is neither base in the other sense nor base extended")
+        cols, rows = _compiled(lp, base)
+        width, extra = len(t.tab[0]), m - m0
+        arts = list(range(width, width + extra))
+        tab = [list(row) + [0] * extra for row in t.tab[: m0 + optimize]]
+        if optimize:
+            tab[m] = [-v for v in tab[m]]
+        t = t._replace(
+            tab=tab,
+            basis=list(t.basis) + arts,
+            units=list(t.units) + arts,
+            restate=list(t.restate) + [s for s, _, _ in rows[m0:]],
+        )
+        for k, (_, scaled, _) in enumerate(rows[m0:]):
+            # the new row times den, less its basic entries' multiples of their rows
+            row = [t.den * v for v in scaled] + [0] * (width - len(cols))
+            row += [t.den * (a == k) for a in range(extra)]
+            for b, basic in zip(t.basis, tab):
+                if row[b]:
+                    f = row[b] // t.den
+                    row = [v - f * e for v, e in zip(row, basic)]
+            tab.append(row)
+        t = t._replace(den=_drive_out(tab, t.basis, t.den, m, t.n_real))
+    if optimize:
+        k, den = _run(t.tab, t.basis, t.den, m, m, t.n_real)
+        if k >= 0:
+            raise LPConstructionError("the bounds of a start must bound the objective")
+        t = t._replace(den=den)
+    object.__setattr__(lp, "_start", t._replace(tab=tuple(map(tuple, t.tab)), basis=tuple(t.basis)))
+    return lp
+
+
+def solve_warm(lp: LinearProgram) -> LPOutcome:
+    """Solve ``lp`` by the dual simplex from the start ``compile_start``
+    cached on the program ``lp`` derives from.
+
+    The bounds enter the start's rhs column as one integer product with its
+    unit columns, ``den`` times the inverse basis. A nonzero value on a row
+    whose artificial stayed basic, or a row the dual simplex leaves negative
+    with no negative entry, is infeasible: its row of the inverse basis is
+    the Farkas vector. Certified as ``solve``'s answers are, an optimum may
+    be another optimal vertex than ``solve``'s.
+    """
+    t = lp.__dict__.get("_start")
+    if t is None:
+        raise LPConstructionError("lp derives from no program with a compiled start")
+    _, L, bounds = _scaled_bounds(lp)
+    rhs, m = t.n_real, len(lp.constraints)
+    scaled = [(u, b if r > 0 else -b) for u, r, b in zip(t.units, t.restate, bounds) if b]
+    tab = [list(row) for row in t.tab]
+    for row in tab:
+        row[rhs] = sum(row[u] * b for u, b in scaled)
+    t = t._replace(tab=tab, basis=list(t.basis), L=L)
+    k = next((i for i, b in enumerate(t.basis) if b > rhs and tab[i][rhs]), -1)
+    if k < 0:
+        k, den = _run(tab, t.basis, t.den, m if lp.sense != "feasibility" else -1, m, rhs, True)
+        t = t._replace(den=den)
+        if k < 0:
+            return _certified(lp, _readout(lp, t))
+    d = t.den if (tab[k][rhs] > 0) == (t.den > 0) else -t.den  # so that y . b > 0
+    farkas = tuple(Fraction(tab[k][u] * r, d) for u, r in zip(t.units, t.restate))
+    return _certified(lp, LPOutcome(status="infeasible", farkas=farkas))
 
 
 def is_feasible(lp: LinearProgram) -> bool:
@@ -504,15 +549,8 @@ def _check_witness(lp: LinearProgram, witness: dict[str, Fraction]) -> None:
     _, rows = _compiled(lp)
     for k, ((_, _, nonzeros), (_, relation, bound)) in enumerate(zip(rows, lp.constraints)):
         value = _row_value(nonzeros, values)
-        ok = (
-            value <= bound
-            if relation == "<="
-            else value >= bound if relation == ">=" else value == bound
-        )
-        if not ok:
-            raise CertificateError(
-                f"witness violates constraint {k}: {value} {relation} {bound}"
-            )
+        if not _COMPARE[relation](value, bound):
+            raise CertificateError(f"witness violates constraint {k}: {value} {relation} {bound}")
 
 
 def _check_multipliers(
@@ -532,9 +570,7 @@ def _check_multipliers(
     combo = [_ZERO] * len(lp.variables)
     total = _ZERO
     _, rows = _compiled(lp)
-    for k, (yk, (_, _, nonzeros), (_, relation, bound)) in enumerate(
-        zip(y, rows, lp.constraints)
-    ):
+    for k, (yk, (_, _, nonzeros), (_, relation, bound)) in enumerate(zip(y, rows, lp.constraints)):
         if relation == "<=" and sign * yk > 0 or relation == ">=" and sign * yk < 0:
             raise CertificateError(f"multiplier sign condition violated on constraint {k}")
         if yk:

@@ -11,9 +11,10 @@ from contextuality.ratlp import (
     LinearProgram,
     LPConstructionError,
     check_certificate,
+    compile_start,
     is_feasible,
     solve,
-    solve_extrema,
+    solve_warm,
 )
 from helpers import brute_force_lp
 
@@ -320,35 +321,69 @@ class TestAgainstBruteForce:
 
 
 @st.composite
-def objective_programs(draw):
-    """``bounded_programs`` with an objective, with any of the box rows
-    dropped: such a program can be unbounded in one direction, or both."""
-    lp = draw(bounded_programs().filter(lambda lp: lp.objective is not None))
-    box_rows = 2 * len(lp.variables)
-    keep = draw(st.lists(st.booleans(), min_size=box_rows, max_size=box_rows))
-    box = lp.constraints[-box_rows:]
-    rows = lp.constraints[:-box_rows] + tuple(row for row, kept in zip(box, keep) if kept)
-    return replace(lp, constraints=rows)
+def template_programs(draw):
+    """An oracle template (``bell`` or ``lg``, any sense) with nonnegative
+    bounds: either anything, which is mostly infeasible, or pairs of one
+    mass over mostly zero separator rows, which is mostly feasible."""
+    from contextuality import oracle
+    from contextuality.core import KINDS
+
+    kind = draw(st.sampled_from(("bell", "lg")))
+    template = oracle._template(kind, draw(st.sampled_from(("min", "max", "feasibility"))))
+    m = len(template.constraints)
+    if draw(st.booleans()):
+        return template.with_bounds(draw(st.lists(_box_halves, min_size=m, max_size=m)))
+    bounds = []
+    for _ in KINDS[kind].PAIRS:
+        cells = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4).filter(any))
+        bounds += [F(c, sum(cells)) for c in cells]
+    quarters = st.sampled_from((0, 0, 0, F(1, 4), F(1, 2), 1))
+    bounds += draw(st.lists(quarters, min_size=m - len(bounds), max_size=m - len(bounds)))
+    return template.with_bounds(bounds)
+
+
+def _lg_feasibility(cells, masses=(1, 1, 1), mismatch=F(0)):
+    """``lg``'s "feasibility" template at pairs with ``cells`` times each of
+    ``masses``, zero separators and every mismatch ``mismatch``."""
+    from contextuality import oracle
+
+    template = oracle._template("lg", "feasibility")
+    observed = [F(mass) * c for mass in masses for c in cells]
+    rest = len(template.constraints) - len(observed) - 3
+    return template.with_bounds(observed + [F(0)] * rest + [mismatch] * 3)
 
 
 class TestSolveExtrema:
+    """Both extrema and every verdict of a compiled program come from the
+    warm dual simplex, and equal ``solve``'s."""
+
     @settings(max_examples=300, deadline=None)
-    @given(objective_programs())
+    @given(template_programs())
     def test_equals_solve_on_min_and_max(self, lp):
-        lo, hi = solve_extrema(lp)
-        assert repr(lo) == repr(solve(replace(lp, sense="min")))
-        assert repr(hi) == repr(solve(replace(lp, sense="max")))
+        warm = solve_warm(lp)
+        check_certificate(lp, warm)
+        primal = solve(lp)
+        assert (warm.status, warm.optimum) == (primal.status, primal.optimum)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bounded_programs(), st.data())
+    def test_general_programs_from_their_own_start(self, lp, data):
+        # inequality rows, free variables and dependent rows, started at
+        # the program's own optimum and solved at other bounds
+        if solve(lp).status != "optimal":
+            with pytest.raises(LPConstructionError):
+                compile_start(lp)
+            return
+        compile_start(lp)
+        m = len(lp.constraints)
+        other = lp.with_bounds(data.draw(st.lists(_bounds, min_size=m, max_size=m)))
+        warm, primal = solve_warm(other), solve(other)
+        check_certificate(other, warm)
+        assert (warm.status, warm.optimum) == (primal.status, primal.optimum)
 
     def test_infeasible_gives_one_certified_farkas_vector(self, monkeypatch):
         from contextuality import ratlp
 
-        lp = LinearProgram(
-            ("x", "y"),
-            (((1, 1), "<=", 1), ((1, -1), ">=", F(5, 2))),
-            objective=(1, 2),
-            sense="max",
-            nonneg=frozenset({"x", "y"}),
-        )
         checks = []
         check = ratlp.check_certificate
 
@@ -357,39 +392,56 @@ class TestSolveExtrema:
             return check(*args)
 
         monkeypatch.setattr(ratlp, "check_certificate", counted)
-        lo, hi = solve_extrema(lp)
-        assert lo is hi and lo.status == "infeasible" and len(checks) == 1
-        assert repr(lo) == repr(solve(lp))
+        uniform = (F(1, 4),) * 4
+        anti = (F(0), F(1, 2), F(1, 2), F(0))
+        # Pairs of unequal mass leave a dependent separator row's artificial
+        # basic at a nonzero value. Three anticorrelated pairs with identical
+        # connections leave the dual simplex a negative row with no negative
+        # entry.
+        for lp in (_lg_feasibility(uniform, masses=(1, 1, 2)), _lg_feasibility(anti)):
+            out = solve_warm(lp)
+            assert out.status == "infeasible" and len(checks) == 1
+            assert solve(lp).status == "infeasible"
+            checks.clear()
+        assert solve_warm(_lg_feasibility(anti, mismatch=F(1))).status == "optimal"
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_unbounded_in_one_direction(self, sign):
-        # x >= 0, y in [-1, 2]: sign * x + y is bounded on one side only
+        # x >= 0, y in [-1, 2]: sign * x + y is bounded on one side only,
+        # and only that side has a start
         lp = LinearProgram(
             ("x", "y"),
             (((0, 1), "<=", 2), ((0, 1), ">=", -1)),
             objective=(sign, 1),
-            sense="min",
+            sense="min" if sign == 1 else "max",
             nonneg=frozenset({"x"}),
         )
-        lo, hi = solve_extrema(lp)
-        bounded, unbounded = (lo, hi) if sign == 1 else (hi, lo)
-        assert (bounded.status, bounded.optimum, unbounded.status) == (
-            "optimal", -1 if sign == 1 else 2, "unbounded"
-        )
-        assert repr(lo) == repr(solve(lp))
-        assert repr(hi) == repr(solve(replace(lp, sense="max")))
+        compile_start(lp)
+        with pytest.raises(LPConstructionError, match="bound the objective"):
+            compile_start(replace(lp, sense="max" if sign == 1 else "min"))
+        for bounds in ((2, -1), (F(1, 3), F(-1, 2)), (0, 0), (-1, 0)):
+            other = lp.with_bounds(bounds)
+            warm, primal = solve_warm(other), solve(other)
+            assert (warm.status, warm.optimum) == (primal.status, primal.optimum)
 
     def test_max_is_certified_against_its_own_sense(self):
-        lp = _mixed_program()
-        lo, hi = solve_extrema(lp)
-        check_certificate(replace(lp, sense="min"), lo)
-        check_certificate(lp, hi)
-        with pytest.raises(CertificateError):
-            check_certificate(replace(lp, sense="min"), hi)
+        from contextuality import oracle
+        from contextuality.generators import random_system
 
-    def test_requires_an_objective(self):
-        with pytest.raises(LPConstructionError):
-            solve_extrema(LinearProgram(("x",), (((1,), "<=", 1),)))
+        high = oracle._program(random_system("bell", 7), "max")
+        out = solve_warm(high)
+        check_certificate(high, out)
+        with pytest.raises(CertificateError):
+            check_certificate(replace(high, sense="min"), out)
+
+    def test_requires_a_start(self):
+        lp = _mixed_program()
+        with pytest.raises(LPConstructionError, match="start"):
+            solve_warm(lp.with_bounds((0, 0, 0, 0)))
+        # a base whose rows do not lead the program's
+        compile_start(lp)
+        with pytest.raises(LPConstructionError, match="base"):
+            compile_start(replace(lp, constraints=lp.constraints[1:]), lp)
 
 
 def _mixed_program():

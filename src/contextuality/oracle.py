@@ -11,11 +11,10 @@ always extend to a joint distribution (Vorob'ev, Theory Probab. Appl. 7,
 the LP ranges over one 8-cell table per triangle, q >= 0: each observed cell
 is pinned in the first triangle holding its pair, and the two triangles
 beside each chord (w0, w_i) have equal 2x2 marginals on it. For Bell systems
-that is 36 rows by 48 cells in place of the 16 x 256 program p = M q over
-all atoms of ``build_vertex_matrix``, which stays as the reference the tests
-compare against. Feasibility and extremization are decided by exact LP,
-independently of any closed-form shortcut; the closed forms are tested
-against this module, never the other way around.
+that is 36 rows by 48 cells in place of 16 rows over all 2^(2n) = 256 atoms,
+the outcome assignments of the 2n variables. Feasibility and extremization
+are decided by exact LP, independently of any closed-form shortcut; the
+closed forms are tested against this module, never the other way around.
 """
 
 from __future__ import annotations
@@ -37,8 +36,9 @@ _MINUS_ONE = Fraction(-1)
 # Per kind: the variables, the observed pairs and the connections. This table
 # is the oracle's own, kept apart from the cycle each system class declares,
 # so that a wrong connection in either one shows up in the cross-checks.
-# Atom variable order fixes the column layout: atom k assigns +1 to variable v
-# when bit (n_vars - 1 - v) of k is 0, and -1 when it is 1.
+# The variable order fixes the atom order of ``OracleResult.witness_joint``:
+# atom k assigns +1 to variable v when bit (n_vars - 1 - v) of k is 0, and -1
+# when it is 1.
 _CYCLES = {
     "bell": (
         ("A11", "B11", "A12", "B12", "A21", "B21", "A22", "B22"),
@@ -62,66 +62,9 @@ class InternalInconsistencyError(RuntimeError):
     """An LP that must be feasible for valid input was not; a bug signal."""
 
 
-@dataclass(frozen=True)
-class VertexMatrix:
-    """0/1 incidence of event-probability rows against outcome-combination atoms.
-
-    Rows: observed pairs first (setting/time order, cells ordered (+,+),
-    (+,-), (-,+), (-,-)), then connection pairs in canonical order. Each atom
-    column hits exactly one cell in every pair group, so all columns sum to
-    the number of groups.
-    """
-
-    kind: str
-    variables: tuple[str, ...]
-    row_labels: tuple[str, ...]
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n_atoms(self) -> int:
-        return len(self.entries[0])
-
-    @property
-    def n_observed_rows(self) -> int:
-        return self.n_rows // 2
-
-
-def _atom_value(atom: int, var_index: int, n_vars: int) -> int:
-    return 1 if not (atom >> (n_vars - 1 - var_index)) & 1 else -1
-
-
-@lru_cache(maxsize=None)
-def build_vertex_matrix(kind: str) -> VertexMatrix:
-    """The coupling-polytope vertex matrix: 32 x 256 for "bell", 24 x 64 for "lg"."""
-    if kind not in _CYCLES:
-        raise ValueError(f"unknown system kind {kind!r}")
-    variables, observed, connections = _CYCLES[kind]
-    n_vars = len(variables)
-    n_atoms = 1 << n_vars
-    index = {name: i for i, name in enumerate(variables)}
-    rows = []
-    labels = []
-    for v1, v2 in observed + connections:
-        i1, i2 = index[v1], index[v2]
-        for x, y in _OUTCOME_PAIRS:
-            labels.append(f"p({v1}={x:+d},{v2}={y:+d})")
-            rows.append(
-                tuple(
-                    1
-                    if _atom_value(a, i1, n_vars) == x and _atom_value(a, i2, n_vars) == y
-                    else 0
-                    for a in range(n_atoms)
-                )
-            )
-    return VertexMatrix(kind, variables, tuple(labels), tuple(rows))
-
-
 def observed_vector(sys: System) -> tuple[Fraction, ...]:
-    """Observed cell probabilities in vertex-matrix row order."""
+    """Observed cell probabilities, pair by pair in the system's order, cells
+    ordered (+,+), (+,-), (-,+), (-,-)."""
     cells: list[Fraction] = []
     for pair in sys.pairs():
         cells.extend(pair.cells())
@@ -234,8 +177,8 @@ def _program(sys: System, sense: str, mismatches: Sequence[Fraction] = ()) -> Li
 
 
 def _joint(kind: str, witness: dict[str, Fraction]) -> tuple[Fraction, ...]:
-    """The joint over all atoms, in vertex-matrix order, that the triangle
-    tables of ``witness`` determine.
+    """The joint over all atoms, in the atom order of ``_CYCLES``, that the
+    triangle tables of ``witness`` determine.
 
     It is the product of the triangle tables over the separator marginals
     between them, grown one triangle at a time: triangle t fixes w_t+2 given

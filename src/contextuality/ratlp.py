@@ -527,11 +527,6 @@ def solve_warm(lp: LinearProgram) -> LPOutcome:
     return _certified(lp, LPOutcome(status="infeasible", farkas=farkas))
 
 
-def is_feasible(lp: LinearProgram) -> bool:
-    """Whether the constraint set admits any point (objective ignored)."""
-    return solve(lp).status != "infeasible"
-
-
 def _row_value(nonzeros, values) -> Fraction:
     total = _ZERO
     for j, c in nonzeros:

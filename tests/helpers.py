@@ -1,29 +1,57 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the code paths they check: signed-sum maxima are
-recomputed by exhaustive sign enumeration, and small LPs by enumerating all
-basic solutions of the constraint system.
+recomputed by exhaustive sign enumeration, small LPs by enumerating all
+basic solutions of the constraint system, and the coupling program over all
+atoms is built from the variable cycle alone, apart from the oracle's
+chordal program.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from functools import lru_cache
 
+from contextuality import oracle
 from contextuality.core import BellSystem, LGSystem, PairDistribution
 
 
 def enumerated_signed_max(values, parity: int) -> Fraction:
     """Max of +/-x1 ... +/-xn over all sign patterns with the given minus-count
-    parity, by brute force."""
+    parity, by brute force over integers: every value times the lcm of their
+    denominators."""
+    values = [Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
     best = None
-    for signs in itertools.product((1, -1), repeat=len(values)):
+    for signs in itertools.product((1, -1), repeat=len(scaled)):
         if sum(1 for s in signs if s < 0) % 2 != parity:
             continue
-        total = sum((s * v for s, v in zip(signs, values)), Fraction(0))
+        total = sum(s * v for s, v in zip(signs, scaled))
         if best is None or total > best:
             best = total
-    return best
+    return Fraction(best, scale)
+
+
+@lru_cache(maxsize=None)
+def atom_rows(kind: str) -> tuple[tuple[int, ...], ...]:
+    """The 0/1 rows of the coupling program over all 2^(2n) atoms of ``kind``:
+    four cells per observed pair, then four per connection, cells ordered
+    (+,+), (+,-), (-,+), (-,-). Atom k gives variable v of ``oracle._CYCLES``
+    the outcome -1 when bit (2n - 1 - v) of k is set, as ``witness_joint`` does."""
+    variables, observed, connections = oracle._CYCLES[kind]
+    n = len(variables)
+
+    def value(atom, name):
+        return -1 if atom >> (n - 1 - variables.index(name)) & 1 else 1
+
+    return tuple(
+        tuple(int((value(a, v1), value(a, v2)) == cell) for a in range(1 << n))
+        for v1, v2 in observed + connections
+        for cell in itertools.product((1, -1), repeat=2)
+    )
 
 
 def brute_force_lp(lp):

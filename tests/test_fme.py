@@ -27,7 +27,7 @@ from contextuality.generators import (
     split_seed,
 )
 from contextuality.core import BellSystem, LGSystem, PairDistribution
-from contextuality.ratlp import LinearProgram, is_feasible
+from contextuality.ratlp import LinearProgram, solve
 
 F = Fraction
 
@@ -119,7 +119,7 @@ class TestEliminate:
                     for nm in names[1:]
                 ]
                 lp = LinearProgram(names, tuple(pinned))
-                assert satisfied == is_feasible(lp), (trial, point)
+                assert satisfied == (solve(lp).status != "infeasible"), (trial, point)
 
 
 class TestSubstituteEquality:
@@ -171,7 +171,8 @@ class TestSubstituteEquality:
             lhs = sum((c * x for c, x in zip(coeffs, point)), F(0))
             holds &= lhs == bound if relation == "==" else lhs <= bound
         pinned = list(system.rows) + [((0, 1, 0), "==", point[0]), ((0, 0, 1), "==", point[1])]
-        assert holds == is_feasible(LinearProgram(system.variables, tuple(pinned)))
+        outcome = solve(LinearProgram(system.variables, tuple(pinned)))
+        assert holds == (outcome.status != "infeasible")
 
     def test_mismatch_equality_expansion_by_hand(self):
         # substituting t1 = 4 - 2 d - t2 into the pattern row t1 - t2 <= 3/2
@@ -217,8 +218,6 @@ class TestRemoveRedundant:
             assert remove_redundant(pruned) == pruned
             # mutual implication: each original row is implied by the pruned
             # system and vice versa (checked by LP maximization)
-            from contextuality.ratlp import solve
-
             for coeffs, _, bound in system.rows:
                 lp = LinearProgram(names, pruned.rows, objective=coeffs, sense="max")
                 out = solve(lp)

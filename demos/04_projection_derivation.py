@@ -5,7 +5,9 @@ constraints with the connection expectations still symbolic, substitute the
 equality that defines the total mismatch, then eliminate the connection
 variables one at a time by Fourier-Motzkin pairing. Each step merges
 parallel rows onto their tightest bound, and that alone keeps the system
-small: no LP runs on this route. What falls out is a system over the single
+small: no LP runs on this route. The coefficients depend only on the rank,
+so the steps are compiled once per rank and each system only moves its
+right-hand sides through them. What falls out is a system over the single
 mismatch variable whose two surviving rows are the interval endpoints.
 """
 

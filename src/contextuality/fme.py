@@ -6,15 +6,19 @@ onto the mismatch variable: substitute the mismatch-defining equality, then
 eliminate the connection expectations one by one. Both steps cancel a
 variable the same way, by adding a multiple of a pivot row to a positive
 multiple of each row, then merge parallel rows onto their tightest bound;
-that merge alone keeps each step small, so the projection solves no LP. An
-elimination that would build over ``MAX_FME_ROWS`` rows raises ``ValueError``.
+that merge alone keeps each step small, so the projection solves no LP. A
+step is a plan, compiled from the coefficient rows alone, and a pass that
+moves the bounds through it; the projection compiles its plans once per rank.
+An elimination that would build over ``MAX_FME_ROWS`` rows raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Sequence
 
@@ -88,58 +92,102 @@ class InequalitySystem:
         return "\n".join(lines)
 
 
-def _normalized(coeffs: Sequence[Fraction], bound: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Scale a row by a positive rational so the coefficients are a primitive
-    integer vector; leaves all-zero rows untouched."""
-    scale = lcm(*(c.denominator for c in coeffs))
-    content = gcd(*(c.numerator * (scale // c.denominator) for c in coeffs))
-    if content == 0:
-        return tuple(coeffs), bound
-    factor = Fraction(scale, content)
-    return tuple(c * factor for c in coeffs), bound * factor
+@dataclass(frozen=True)
+class _Plan:
+    """One cancellation step, compiled from the coefficient rows alone. Bound
+    k is the least ``a * b[i] - c * b[j]`` over the terms of group k, ``b``
+    being the input bounds: first the ``rows``, then the ``constants``, the
+    candidates left with no variable. ``starts`` holds each row's first
+    candidate and ``slots[q]`` the candidates before input row q."""
+
+    variables: tuple[str, ...]
+    rows: tuple[tuple[tuple[Fraction, ...], str], ...]
+    constants: tuple[tuple[int, str], ...]
+    terms: tuple[tuple[tuple[int, Fraction, int, Fraction], ...], ...]
+    starts: tuple[int, ...]
+    slots: tuple[int, ...]
 
 
-def _collect(system: InequalitySystem, idx: int, candidates: list[Row]) -> InequalitySystem:
-    """The rows over ``system``'s variables without column ``idx``: normalized,
-    vacuous rows dropped, duplicate inequality rows collapsed onto their
-    tightest bound, in first-seen order."""
-    dropped = system.dropped_vacuous
-    rows: dict[object, Row] = {}
-    for k, (coeffs, relation, bound) in enumerate(candidates):
-        if not any(coeffs):
-            if bound >= 0 if relation == "<=" else bound == 0:
+def _plan(variables, rows, idx: int, pivot: int | None = None) -> _Plan:
+    """Compile the step that substitutes equality row ``pivot`` for column
+    ``idx`` or, with no pivot, eliminates the column, raising as ``eliminate``
+    does. Candidate k is ``|p| * row i - sign(p) * r * row j`` for the k-th
+    pair (i, j), ``r`` and ``p`` being rows i and j's entries in the column; a
+    row without it is only stripped. Parallel inequality candidates merge."""
+    if pivot is not None:
+        unchanged = [k != pivot for k in range(len(rows))]
+        pairs = [(k, pivot) for k in range(len(rows)) if unchanged[k]]
+    else:
+        unchanged, var = [row[0][idx] == 0 for row in rows], variables[idx]
+        for k, (coeffs, relation, *_) in enumerate(rows):
+            if relation == "==" and coeffs[idx]:
+                raise UnusablePivotError(
+                    f"row {k} is an equality involving {var!r}; substitute it first"
+                )
+        pairs = [(k, k) for k in range(len(rows)) if unchanged[k]]
+        uppers, lowers = ([k for k, row in enumerate(rows) if s * row[0][idx] > 0] for s in (1, -1))
+        count = len(pairs) + len(uppers) * len(lowers)
+        if count > MAX_FME_ROWS:
+            raise ValueError(f"eliminating {var!r} would build {count} rows, over {MAX_FME_ROWS}")
+        pairs += itertools.product(uppers, lowers)
+    groups, out, starts, constants, tail = {}, [], [], [], []
+    for k, (i, j) in enumerate(pairs):
+        coeffs, relation, *_ = rows[i]
+        r, p = coeffs[idx], rows[j][0][idx]
+        f, g = (abs(p), r if p > 0 else -r) if r else (Fraction(1), _ZERO)
+        combined = [f * x - g * y for x, y in zip(coeffs, rows[j][0])]
+        del combined[idx]
+        scale = lcm(*(c.denominator for c in combined))
+        content = gcd(*(c.numerator * (scale // c.denominator) for c in combined))
+        factor = Fraction(scale, content) if content else Fraction(1)
+        f, g = f * factor, g * factor
+        if not content:
+            constants.append((k, relation))
+            tail.append([(i, f, j, g)])
+            continue
+        combined = tuple(c * factor for c in combined)
+        # each equality row is keyed by its own index, so only inequalities merge
+        key = combined if relation == "<=" else k
+        if key not in groups:
+            out.append((combined, relation))
+            starts.append(k)
+        groups.setdefault(key, []).append((i, f, j, g))
+    terms = tuple(map(tuple, [*groups.values(), *tail]))
+    slots = tuple(itertools.accumulate(unchanged, initial=0))
+    variables = variables[:idx] + variables[idx + 1 :]
+    return _Plan(variables, tuple(out), tuple(constants), terms, tuple(starts), slots)
+
+
+def _apply(plans: Sequence[_Plan], bounds: Sequence[Fraction], dropped=0) -> InequalitySystem:
+    """Run the start ``bounds`` through each plan's bound pass. Satisfied
+    constant rows are dropped as vacuous; the others are kept where the first
+    of them falls, on their tightest bound, and carried through later steps."""
+    b = list(bounds)
+    kept: list[tuple[int, str, Fraction]] = []
+    for plan in plans:
+        b = [min(a * b[i] - c * b[j] for i, a, j, c in group) for group in plan.terms]
+        candidates = [(k, rel, x) for (k, rel), x in zip(plan.constants, b[len(plan.rows) :])]
+        candidates += [(plan.slots[q] - 0.5, rel, x) for q, rel, x in kept]
+        del b[len(plan.rows) :]
+        constants: dict[object, tuple] = {}
+        for n, (k, relation, x) in enumerate(sorted(candidates, key=lambda c: c[0])):
+            if x >= 0 if relation == "<=" else x == 0:
                 dropped += 1
                 continue
-            # an unsatisfiable constant row is kept: it records infeasibility
-        coeffs, bound = _normalized(coeffs, bound)
-        # each equality row is keyed by its own index, so only inequalities merge
-        key = coeffs if relation == "<=" else k
-        if key not in rows or bound < rows[key][2]:
-            rows[key] = (coeffs, relation, bound)
-    variables = system.variables[:idx] + system.variables[idx + 1 :]
-    return InequalitySystem(variables, tuple(rows.values()), dropped)
+            key = relation if relation == "<=" else n
+            k, _, y = constants.get(key, (k, relation, x))
+            constants[key] = (k, relation, min(x, y))
+        kept = [(bisect_left(plan.starts, k), rel, x) for k, rel, x in constants.values()]
+    rows = [(coeffs, rel, x) for (coeffs, rel), x in zip(plan.rows, b)]
+    for q, relation, x in reversed(kept):
+        rows.insert(q, ((_ZERO,) * len(plan.variables), relation, x))
+    return InequalitySystem(plan.variables, tuple(rows), dropped)
 
 
 def _index(system: InequalitySystem, var: str) -> int:
     if var not in system.variables:
         raise UnknownVariableError(f"unknown variable {var!r}")
     return system.variables.index(var)
-
-
-def _combine(row: Row, pivot: Row, idx: int) -> Row:
-    """``|p| * row - sign(p) * r * pivot`` with column ``idx`` dropped, where
-    ``p`` and ``r`` are the pivot's and the row's coefficients on it. The
-    column cancels, and the factor on ``row`` is positive, so a ``<=`` row
-    keeps its direction. A row without the column is only stripped."""
-    coeffs, relation, bound = row
-    pivot_coeffs, _, pivot_bound = pivot
-    r, p = coeffs[idx], pivot_coeffs[idx]
-    if r == 0:
-        return coeffs[:idx] + coeffs[idx + 1 :], relation, bound
-    f, g = abs(p), r if p > 0 else -r
-    combined = [f * x - g * y for x, y in zip(coeffs, pivot_coeffs)]
-    del combined[idx]
-    return tuple(combined), relation, f * bound - g * pivot_bound
 
 
 def eliminate(system: InequalitySystem, var: str) -> InequalitySystem:
@@ -150,23 +198,8 @@ def eliminate(system: InequalitySystem, var: str) -> InequalitySystem:
     appear in any equality row; substitute those out first. Raises
     ``ValueError``, before combining, if it would build over ``MAX_FME_ROWS`` rows.
     """
-    idx = _index(system, var)
-    keep: list[Row] = []
-    uppers: list[Row] = []
-    lowers: list[Row] = []
-    for k, row in enumerate(system.rows):
-        coeffs, relation, bound = row
-        if coeffs[idx] == 0:
-            keep.append((coeffs[:idx] + coeffs[idx + 1 :], relation, bound))
-        elif relation == "==":
-            raise UnusablePivotError(f"row {k} is an equality involving {var!r}; substitute it first")
-        else:
-            (uppers if coeffs[idx] > 0 else lowers).append(row)
-    count = len(keep) + len(uppers) * len(lowers)
-    if count > MAX_FME_ROWS:
-        raise ValueError(f"eliminating {var!r} would build {count} rows, over {MAX_FME_ROWS}")
-    keep.extend(_combine(upper, lower, idx) for upper, lower in itertools.product(uppers, lowers))
-    return _collect(system, idx, keep)
+    plan = _plan(system.variables, system.rows, _index(system, var))
+    return _apply((plan,), [bound for *_, bound in system.rows], system.dropped_vacuous)
 
 
 def substitute_equality(system: InequalitySystem, eq_row_index: int, var: str) -> InequalitySystem:
@@ -184,8 +217,8 @@ def substitute_equality(system: InequalitySystem, eq_row_index: int, var: str) -
         raise UnusablePivotError(
             f"row {eq_row_index} has zero coefficient on {var!r}; unusable pivot"
         )
-    out = [_combine(row, pivot, idx) for k, row in enumerate(system.rows) if k != eq_row_index]
-    return _collect(system, idx, out)
+    plan = _plan(system.variables, system.rows, idx, eq_row_index)
+    return _apply((plan,), [bound for *_, bound in system.rows], system.dropped_vacuous)
 
 
 def remove_redundant(system: InequalitySystem) -> InequalitySystem:
@@ -221,46 +254,47 @@ def remove_redundant(system: InequalitySystem) -> InequalitySystem:
 # Mismatch-interval derivation by projection
 # ----------------------------------------------------------------------------
 
-def _instantiated_system(sys: System) -> tuple[InequalitySystem, tuple[str, ...]]:
-    """The compatibility constraints of a concrete system, with the connection
-    expectations symbolic and the mismatch variable tied to their sum."""
-    prods = sys.product_means()
-    s_even = _max_signed_sum(prods, 0)
-    s_odd = max_signed_sum_odd(prods)
-    marg = cyclic.connection_marginal_pairs(sys)
+@lru_cache(maxsize=None)
+def _chain(n: int) -> tuple[_Plan, ...]:
+    """The n steps of the rank-n projection, compiled once, from the start
+    rows in ``_start_bounds`` order: one parity condition per sign pattern,
+    two bounds per t_k (cell nonnegativity), and delta + sum(t_k)/2 == n/2."""
+    patterns = itertools.product((1, -1), repeat=n)
+    rows = [(tuple(map(Fraction, tau + (0,))), "<=") for tau in patterns]
+    for c, sign in itertools.product(range(n), (-1, 1)):
+        rows.append((tuple(Fraction(sign * (k == c)) for k in range(n + 1)), "<="))
+    rows.append((tuple([_HALF] * n + [Fraction(1)]), "=="))
+    plans = [_plan(tuple(f"t_{k}" for k in range(1, n + 1)) + ("delta",), rows, 0, len(rows) - 1)]
+    for _ in range(n - 1):
+        plans.append(_plan(plans[-1].variables, plans[-1].rows, 0))
+    return tuple(plans)
+
+
+def _start_bounds(sys: System) -> list[Fraction]:
+    """The right-hand sides of ``_chain``'s start rows for a concrete system.
+    A sign pattern over the t_k needs the complementary parity on the
+    products, and -1 + |m1 + m2| <= t_k <= 1 - |m1 - m2|."""
+    prods, marg = sys.product_means(), cyclic.connection_marginal_pairs(sys)
     n = len(marg)
-    rows: list[Row] = []
-    # one odd-parity condition over products and connection terms, bounded by
-    # 2n - 2: a sign pattern tau over the connection expectations needs the
-    # complementary parity on the products part
-    for tau in itertools.product((1, -1), repeat=n):
-        bound = 2 * n - 2 - (s_even if tau.count(-1) % 2 else s_odd)
-        rows.append((tuple(map(Fraction, tau)) + (_ZERO,), "<=", bound))
-    # cell nonnegativity: -1 + |m1+m2| <= t_c <= 1 - |m1-m2|
-    for c, (m1, m2) in enumerate(marg):
-        for sign, bound in ((-1, 1 - abs(m1 + m2)), (1, 1 - abs(m1 - m2))):
-            unit = [_ZERO] * (n + 1)
-            unit[c] = Fraction(sign)
-            rows.append((tuple(unit), "<=", bound))
-    # mismatch = n/2 - (sum of connection expectations)/2
-    rows.append((tuple([_HALF] * n + [Fraction(1)]), "==", Fraction(n, 2)))
-    conn_vars = tuple(f"t_{k}" for k in range(1, n + 1))
-    return InequalitySystem(conn_vars + ("delta",), tuple(rows)), conn_vars
+    s_even, s_odd = _max_signed_sum(prods, 0), max_signed_sum_odd(prods)
+    patterns = itertools.product((1, -1), repeat=n)
+    bounds = [2 * n - 2 - (s_even if tau.count(-1) % 2 else s_odd) for tau in patterns]
+    for m1, m2 in marg:
+        bounds += (1 - abs(m1 + m2), 1 - abs(m1 - m2))
+    return bounds + [Fraction(n, 2)]
 
 
 def project_to_delta(sys: System) -> InequalitySystem:
     """Eliminate every connection expectation, leaving bounds on the mismatch.
 
     The defining equality substitutes out the first connection variable; the
-    rest fall to Fourier-Motzkin elimination. No LP prunes between steps:
+    rest fall to Fourier-Motzkin elimination. The coefficient rows depend on
+    the rank alone, so the chain of steps is compiled once per rank and each
+    system runs only its bounds through it. No LP prunes between steps:
     merging parallel rows keeps at most 24 rows per step at rank 4 and 14 at
     rank 3, and the last step leaves the two bounds on the mismatch.
     """
-    system, conn_vars = _instantiated_system(sys)
-    system = substitute_equality(system, len(system.rows) - 1, conn_vars[0])
-    for var in conn_vars[1:]:
-        system = eliminate(system, var)
-    return system
+    return _apply(_chain(len(sys.CONNECTIONS)), _start_bounds(sys))
 
 
 def derive_delta_bounds(sys: System) -> tuple[Fraction, Fraction]:
@@ -273,10 +307,17 @@ def derive_delta_bounds(sys: System) -> tuple[Fraction, Fraction]:
 
 
 def _interval(projected: InequalitySystem) -> tuple[Fraction, Fraction]:
-    """(min, max) of the mismatch read off a system projected onto it."""
+    """(min, max) of the mismatch read off a system projected onto it;
+    ``RuntimeError`` if the projection records infeasibility."""
     rows = projected.rows
+    for (c,), relation, bound in rows:
+        if c == 0:
+            raise RuntimeError(f"projection kept the unsatisfiable row 0 {relation} {bound}")
     lows = [bound / c for (c,), relation, bound in rows if relation == "==" or c < 0]
     highs = [bound / c for (c,), relation, bound in rows if relation == "==" or c > 0]
     if not lows or not highs:
         raise RuntimeError("projection produced no two-sided bounds; invalid input system")
-    return max(lows), min(highs)
+    lo, hi = max(lows), min(highs)
+    if lo > hi:
+        raise RuntimeError(f"projection gives lo {lo} > hi {hi}; infeasible input system")
+    return lo, hi

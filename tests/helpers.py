@@ -2,9 +2,10 @@
 
 These deliberately avoid the code paths they check: signed-sum maxima are
 recomputed by exhaustive sign enumeration, small LPs by enumerating all
-basic solutions of the constraint system, and the coupling program over all
+basic solutions of the constraint system, the coupling program over all
 atoms is built from the variable cycle alone, apart from the oracle's
-chordal program.
+chordal program, and Fourier-Motzkin steps combine and merge whole rows
+one at a time, apart from the projection's compiled plans.
 """
 
 from __future__ import annotations
@@ -14,8 +15,14 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from contextuality import oracle
-from contextuality.core import BellSystem, LGSystem, PairDistribution
+from contextuality import cyclic, fme, oracle
+from contextuality.core import (
+    BellSystem,
+    LGSystem,
+    PairDistribution,
+    _max_signed_sum,
+    max_signed_sum_odd,
+)
 
 
 def enumerated_signed_max(values, parity: int) -> Fraction:
@@ -132,3 +139,117 @@ def lg_from_expectations(first, second, products) -> LGSystem:
         for x, y, p in zip(first, second, products)
     ]
     return LGSystem(*pairs)
+
+
+# ----------------------------------------------------------------------------
+# Reference Fourier-Motzkin elimination, one Fraction row at a time
+# ----------------------------------------------------------------------------
+
+def _reference_normalized(coeffs, bound):
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    content = math.gcd(*(c.numerator * (scale // c.denominator) for c in coeffs))
+    if content == 0:
+        return tuple(coeffs), bound
+    factor = Fraction(scale, content)
+    return tuple(c * factor for c in coeffs), bound * factor
+
+
+def _reference_collect(system, idx, candidates):
+    """The rows without column ``idx``: normalized, vacuous rows dropped,
+    parallel inequality rows merged onto their tightest bound, first-seen."""
+    dropped = system.dropped_vacuous
+    rows = {}
+    for k, (coeffs, relation, bound) in enumerate(candidates):
+        if not any(coeffs):
+            if bound >= 0 if relation == "<=" else bound == 0:
+                dropped += 1
+                continue
+        coeffs, bound = _reference_normalized(coeffs, bound)
+        key = coeffs if relation == "<=" else k
+        if key not in rows or bound < rows[key][2]:
+            rows[key] = (coeffs, relation, bound)
+    variables = system.variables[:idx] + system.variables[idx + 1 :]
+    return fme.InequalitySystem(variables, tuple(rows.values()), dropped)
+
+
+def _reference_combine(row, pivot, idx):
+    """``|p| * row - sign(p) * r * pivot`` with column ``idx`` dropped."""
+    coeffs, relation, bound = row
+    pivot_coeffs, _, pivot_bound = pivot
+    r, p = coeffs[idx], pivot_coeffs[idx]
+    if r == 0:
+        return coeffs[:idx] + coeffs[idx + 1 :], relation, bound
+    f, g = abs(p), r if p > 0 else -r
+    combined = [f * x - g * y for x, y in zip(coeffs, pivot_coeffs)]
+    del combined[idx]
+    return tuple(combined), relation, f * bound - g * pivot_bound
+
+
+def reference_eliminate(system, var):
+    """Fourier-Motzkin elimination of ``var``, built row by row in Fractions;
+    raises as ``fme.eliminate`` does."""
+    if var not in system.variables:
+        raise fme.UnknownVariableError(f"unknown variable {var!r}")
+    idx = system.variables.index(var)
+    keep, uppers, lowers = [], [], []
+    for k, row in enumerate(system.rows):
+        coeffs, relation, _ = row
+        if coeffs[idx] == 0:
+            keep.append((coeffs[:idx] + coeffs[idx + 1 :], relation, row[2]))
+        elif relation == "==":
+            raise fme.UnusablePivotError(f"row {k} is an equality involving {var!r}; substitute it first")
+        else:
+            (uppers if coeffs[idx] > 0 else lowers).append(row)
+    count = len(keep) + len(uppers) * len(lowers)
+    if count > fme.MAX_FME_ROWS:
+        raise ValueError(f"eliminating {var!r} would build {count} rows, over {fme.MAX_FME_ROWS}")
+    keep.extend(_reference_combine(u, lo, idx) for u, lo in itertools.product(uppers, lowers))
+    return _reference_collect(system, idx, keep)
+
+
+def reference_substitute(system, eq_row_index, var):
+    """Substitution of the equality row ``eq_row_index`` solved for ``var``,
+    built row by row in Fractions; raises as ``fme.substitute_equality`` does."""
+    if var not in system.variables:
+        raise fme.UnknownVariableError(f"unknown variable {var!r}")
+    idx = system.variables.index(var)
+    if not 0 <= eq_row_index < len(system.rows):
+        raise IndexError(f"no row {eq_row_index}")
+    pivot = system.rows[eq_row_index]
+    if pivot[1] != "==":
+        raise fme.UnusablePivotError(f"row {eq_row_index} is not an equality")
+    if pivot[0][idx] == 0:
+        raise fme.UnusablePivotError(f"row {eq_row_index} has zero coefficient on {var!r}; unusable pivot")
+    out = [_reference_combine(row, pivot, idx) for k, row in enumerate(system.rows) if k != eq_row_index]
+    return _reference_collect(system, idx, out)
+
+
+def reference_start_system(sys):
+    """The compatibility constraints of a concrete system, with the connection
+    expectations t_k symbolic and the mismatch variable tied to their sum."""
+    prods = sys.product_means()
+    s_even, s_odd = _max_signed_sum(prods, 0), max_signed_sum_odd(prods)
+    marg = cyclic.connection_marginal_pairs(sys)
+    n = len(marg)
+    zero, half = Fraction(0), Fraction(1, 2)
+    rows = []
+    for tau in itertools.product((1, -1), repeat=n):
+        bound = 2 * n - 2 - (s_even if tau.count(-1) % 2 else s_odd)
+        rows.append((tuple(map(Fraction, tau)) + (zero,), "<=", bound))
+    for c, (m1, m2) in enumerate(marg):
+        for sign, bound in ((-1, 1 - abs(m1 + m2)), (1, 1 - abs(m1 - m2))):
+            unit = [zero] * (n + 1)
+            unit[c] = Fraction(sign)
+            rows.append((tuple(unit), "<=", bound))
+    rows.append((tuple([half] * n + [Fraction(1)]), "==", Fraction(n, 2)))
+    names = tuple(f"t_{k}" for k in range(1, n + 1)) + ("delta",)
+    return fme.InequalitySystem(names, tuple(rows))
+
+
+def reference_projection(sys):
+    """``fme.project_to_delta`` by the reference steps."""
+    system = reference_start_system(sys)
+    system = reference_substitute(system, len(system.rows) - 1, system.variables[0])
+    for var in system.variables[:-1]:
+        system = reference_eliminate(system, var)
+    return system

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contextuality import bell, cyclic, fme, lg, oracle
@@ -28,6 +28,7 @@ from contextuality.generators import (
 )
 from contextuality.core import BellSystem, LGSystem, PairDistribution
 from contextuality.ratlp import LinearProgram, solve
+from helpers import reference_eliminate, reference_projection, reference_substitute
 
 F = Fraction
 
@@ -296,22 +297,197 @@ class TestPureProjection:
         for sys in itertools.chain(_seeded_systems(12), _degenerate_systems()):
             assert derive_delta_bounds(sys) == cyclic.delta_interval(sys)
 
-    def test_row_counts_per_step(self, monkeypatch):
-        counts = []
-
-        def recording(step):
-            def wrapped(*args):
-                out = step(*args)
-                counts.append(len(out.rows))
-                return out
-            return wrapped
-
-        monkeypatch.setattr(fme, "substitute_equality", recording(substitute_equality))
-        monkeypatch.setattr(fme, "eliminate", recording(eliminate))
-        for sys in itertools.chain(_seeded_systems(30), _degenerate_systems()):
-            counts.clear()
-            projected = project_to_delta(sys)
-            rank = len(cyclic.connection_marginal_pairs(sys))
+    def test_row_counts_per_step(self):
+        # the rows of every step are compiled once per rank, so the counts
+        # per step are the chain's; each system leaves the two final rows
+        for rank, most in ((4, 24), (3, 14)):
+            counts = [len(plan.rows) for plan in fme._chain(rank)]
             assert len(counts) == rank
-            assert max(counts) <= (24 if rank == 4 else 14), counts
-            assert counts[-1] == len(projected.rows) == 2, counts
+            assert max(counts) <= most, counts
+            assert counts[-1] == 2, counts
+        for sys in itertools.chain(_seeded_systems(30), _degenerate_systems()):
+            assert len(project_to_delta(sys).rows) == 2
+
+
+def _invalid_pair(rng):
+    """Cells drawn from [-1/2, 1] that need not sum to 1."""
+    return PairDistribution(*(F(rng.randint(-2, 4), 4) for _ in range(4)))
+
+
+def _invalid_systems(count):
+    rng = random.Random(211)
+    for i in range(count):
+        cls = (BellSystem, LGSystem)[i % 2]
+        yield cls(*(_invalid_pair(rng) for _ in cls.PAIRS))
+
+
+def _first_pair_broken(cls):
+    quarter = PairDistribution(*[F(1, 4)] * 4)
+    return cls(PairDistribution(1, 1, F(-1, 2), F(-1, 2)), *[quarter] * (len(cls.PAIRS) - 1))
+
+
+class TestCompiledChain:
+    """The projection compiles its steps once per rank and moves only the
+    bounds of each system through them."""
+
+    def test_matches_the_reference_chain(self):
+        systems = list(
+            itertools.chain(_seeded_systems(300), _degenerate_systems(), _invalid_systems(400))
+        )
+        assert len(systems) >= 1000
+        for k, sys in enumerate(systems):
+            assert project_to_delta(sys) == reference_projection(sys), k
+
+    @pytest.mark.parametrize("cls, lo, hi", [(LGSystem, F(5, 2), F(1, 2)), (BellSystem, 2, 2)])
+    def test_recorded_infeasibility_raises(self, cls, lo, hi):
+        sys = _first_pair_broken(cls)
+        projected = project_to_delta(sys)
+        assert projected == reference_projection(sys)
+        assert ((F(0),), "<=", F(-4)) in projected.rows
+        bounds = sorted(bound / c for (c,), _, bound in projected.rows if c)
+        assert bounds == sorted((lo, hi))
+        with pytest.raises(RuntimeError, match="unsatisfiable row 0 <= -4"):
+            derive_delta_bounds(sys)
+        with pytest.raises(oracle.InternalInconsistencyError):
+            oracle.delta_extrema(sys)
+
+    def test_lower_bound_above_upper_raises(self):
+        projected = InequalitySystem(("delta",), (((-1,), "<=", -3), ((1,), "<=", 1)))
+        with pytest.raises(RuntimeError, match="lo 3 > hi 1"):
+            fme._interval(projected)
+
+    def test_oracle_builds_no_plan(self):
+        fme._chain.cache_clear()
+        for sys in (pr_signaling_family(1, 0), lg_anticorrelated()):
+            oracle.delta_extrema(sys)
+            oracle.compatible(sys, (0,) * len(sys.CONNECTIONS))
+        oracle.compatibility_verdicts(lg_anticorrelated(), (0, 0, 0))
+        assert fme._chain.cache_info().currsize == 0
+
+    def test_one_chain_per_rank(self):
+        fme._chain.cache_clear()
+        for kind, seed in (("bell", 223), ("lg", 227)):
+            for i in range(500):
+                derive_delta_bounds(random_system(kind, split_seed(seed, i)))
+        assert fme._chain.cache_info().currsize == 2
+
+
+def _rows_st(width):
+    coeff = st.fractions(min_value=-2, max_value=2, max_denominator=3) | st.just(F(0))
+    row = st.tuples(
+        st.tuples(*[coeff] * width),
+        st.sampled_from(("<=", "<=", "<=", "==")),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    )
+    return st.lists(row, max_size=8)
+
+
+@st.composite
+def inequality_system(draw):
+    width = draw(st.integers(1, 4))
+    names = tuple(f"x{i}" for i in range(width))
+    rows = draw(_rows_st(width))
+    return InequalitySystem(names, tuple(rows), draw(st.integers(0, 2)))
+
+
+def _outcome(step, *args):
+    """A step's result, or its error's type and message."""
+    try:
+        return step(*args)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+def _two_compiled_steps(system, first, second):
+    """Eliminate ``first`` then ``second`` as a chain of two plans does."""
+    plan = fme._plan(system.variables, system.rows, system.variables.index(first))
+    then = fme._plan(plan.variables, plan.rows, plan.variables.index(second))
+    bounds = [bound for *_, bound in system.rows]
+    return fme._apply((plan, then), bounds, system.dropped_vacuous)
+
+
+class TestPlanAgainstReference:
+    """Each step, compiled into a plan plus a bound pass, gives the rows, row
+    order, vacuous count and errors of the row-by-row reference."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(inequality_system(), st.data())
+    def test_eliminate(self, system, data):
+        var = data.draw(st.sampled_from(system.variables))
+        assert _outcome(eliminate, system, var) == _outcome(reference_eliminate, system, var)
+
+    @settings(max_examples=250, deadline=None)
+    @given(inequality_system(), st.data())
+    def test_substitute_equality(self, system, data):
+        var = data.draw(st.sampled_from(system.variables))
+        index = data.draw(st.integers(-1, len(system.rows)))
+        expected = _outcome(reference_substitute, system, index, var)
+        assert _outcome(substitute_equality, system, index, var) == expected
+
+    @settings(max_examples=250, deadline=None)
+    @given(inequality_system(), st.data())
+    def test_two_steps_carry_kept_constant_rows(self, system, data):
+        # the second plan is compiled without the constant rows the first
+        # step keeps; the pass carries them to the reference's place
+        assume(len(system.variables) >= 2)
+        first, second = data.draw(st.permutations(system.variables))[:2]
+        got = _outcome(_two_compiled_steps, system, first, second)
+        expected = _outcome(lambda: reference_eliminate(reference_eliminate(system, first), second))
+        if isinstance(expected, InequalitySystem):
+            assert got == expected
+        else:  # the reference counts carried rows in the indices it names
+            assert got[0] is expected[0]
+
+    def test_carried_equalities_stay_apart(self):
+        system = InequalitySystem(("x", "y"), (((0, 0), "==", 1), ((0, 0), "==", 1)))
+        expected = reference_eliminate(reference_eliminate(system, "x"), "y")
+        assert len(expected.rows) == 2
+        assert _two_compiled_steps(system, "x", "y") == expected
+
+    def test_kept_constant_rows(self):
+        # two unsatisfiable constant rows merge onto the tighter bound at
+        # the first one's place; an unsatisfiable constant equality stays
+        system = InequalitySystem(
+            ("x", "y"),
+            (
+                ((1, 1), "<=", 0),
+                ((0, 1), "<=", 5),
+                ((-1, -1), "<=", -1),
+                ((0, 0), "==", 1),
+                ((-2, -2), "<=", -3),
+            ),
+        )
+        out = eliminate(system, "x")
+        assert out == reference_eliminate(system, "x")
+        assert out.rows == (
+            ((F(1),), "<=", F(5)),
+            ((F(0),), "==", F(1)),
+            ((F(0),), "<=", F(-3)),
+        )
+
+    def test_pivot_errors(self):
+        system = InequalitySystem(
+            ("x", "y"), (((1, 1), "==", 1), ((0, 1), "<=", 1), ((0, 1), "==", 2))
+        )
+        for step, reference, args in (
+            (eliminate, reference_eliminate, ("x",)),
+            (substitute_equality, reference_substitute, (1, "x")),
+            (substitute_equality, reference_substitute, (2, "x")),
+        ):
+            outcome = _outcome(step, system, *args)
+            assert outcome[0] is UnusablePivotError
+            assert outcome == _outcome(reference, system, *args)
+
+    @pytest.mark.parametrize("pairs, kept", [(101, 0), (100, 1)])
+    def test_row_cap_raises_before_any_row(self, monkeypatch, pairs, kept):
+        rows = [((1, k), "<=", k) for k in range(pairs)] + [((-1, k), "<=", k) for k in range(pairs)]
+        rows += [((0, 1), "<=", k) for k in range(kept)]
+        system = InequalitySystem(("x", "y"), tuple(rows))
+        expected = _outcome(reference_eliminate, system, "x")
+        assert expected == (ValueError, f"eliminating 'x' would build {pairs * pairs + kept} rows, over 10000")
+
+        def refuse(*args):
+            raise AssertionError("a candidate row was built")
+
+        monkeypatch.setattr(fme, "gcd", refuse)
+        assert _outcome(eliminate, system, "x") == expected

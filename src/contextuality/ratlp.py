@@ -21,7 +21,9 @@ with no phase 1.
 Optimal solves carry a rational dual certificate, infeasible solves a Farkas
 certificate. Every answer is certified before it is returned: an optimum by
 its witness (checked against every constraint) and its dual (strong
-duality), an infeasibility by its Farkas vector.
+duality), an infeasibility by its Farkas vector. The checks compare
+integers: each vector goes over one common denominator taken from its own
+entries, never from the tableau, so they stay independent of the pivoting.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def _compiled(lp: LinearProgram, base: Optional[LinearProgram] = None):
     nonnegative variable, a split pair per free one. Each row is
     ``(s, scaled, nonzeros)``: ``s`` the lcm of the row's coefficient
     denominators, ``scaled`` the row times ``s`` over the structural
-    columns, and ``nonzeros`` its ``(index, coefficient)`` pairs as stated.
+    columns, and ``nonzeros`` its ``(index, s * coefficient)`` integer pairs.
     Cached on ``lp``, and shared by every program ``with_bounds`` derives;
     the rows of ``base``, which lead ``lp``'s, share ``base``'s.
     """
@@ -157,7 +159,7 @@ def _compiled(lp: LinearProgram, base: Optional[LinearProgram] = None):
         for coeffs, _, _ in lp.constraints[len(rows) :]:
             s = lcm(*(c.denominator for c in coeffs))
             a = [c.numerator * (s // c.denominator) for c in coeffs]
-            nonzeros = tuple((j, c) for j, c in enumerate(coeffs) if c)
+            nonzeros = tuple((j, c) for j, c in enumerate(a) if c)
             rows.append((s, tuple(a[var] * sign for var, sign in cols), nonzeros))
         compiled = (tuple(cols), tuple(rows))
         object.__setattr__(lp, "_compiled", compiled)
@@ -412,14 +414,14 @@ def _readout(lp: LinearProgram, t: _Tableau) -> LPOutcome:
     m = len(lp.constraints)
     tab, basis, den, rhs, L = t.tab, t.basis, t.den, t.n_real, t.L
 
-    # Extract the witness in original variable space (x = x' / L).
-    values = [_ZERO] * len(lp.variables)
+    # Extract the witness in original variable space (x = x' / L), over den * L.
+    values = [0] * len(lp.variables)
     for i in range(m):
         b = basis[i]
         if b < len(cols):
             var, sign = cols[b]
-            values[var] += sign * Fraction(tab[i][rhs], den * L)
-    witness = {name: values[j] for j, name in enumerate(lp.variables)}
+            values[var] += sign * tab[i][rhs]
+    witness = {name: Fraction(v, den * L) if v else _ZERO for name, v in zip(lp.variables, values)}
 
     if lp.sense == "feasibility":
         return LPOutcome(status="optimal", optimum=_ZERO, witness=witness, dual=(_ZERO,) * m)
@@ -429,9 +431,9 @@ def _readout(lp: LinearProgram, t: _Tableau) -> LPOutcome:
     scale = den * t.obj_scale
     return LPOutcome(
         status="optimal",
-        optimum=sign * Fraction(tab[m][rhs], scale * L),
+        optimum=Fraction(sign * tab[m][rhs], scale * L),
         witness=witness,
-        dual=tuple(sign * Fraction(tab[m][u] * r, scale) for u, r in zip(t.units, t.restate)),
+        dual=tuple(Fraction(sign * tab[m][u] * r, scale) for u, r in zip(t.units, t.restate)),
     )
 
 
@@ -527,25 +529,31 @@ def solve_warm(lp: LinearProgram) -> LPOutcome:
     return _certified(lp, LPOutcome(status="infeasible", farkas=farkas))
 
 
-def _row_value(nonzeros, values) -> Fraction:
-    total = _ZERO
-    for j, c in nonzeros:
-        v = values[j]
-        if v:
-            total += c * v
-    return total
+def _common(values, what: str, scales=None) -> tuple[list[int], int]:
+    """``(numerators, d)``: ``values``, ints or ``Fraction``s, each over its
+    entry of ``scales``, as integers over ``d``, the lcm of their denominators."""
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        raise CertificateError(f"{what} holds a value that is not an int or a Fraction")
+    dens = [v.denominator * s for v, s in zip(values, scales or [1] * len(values))]
+    d = lcm(*dens)
+    return [v.numerator * (d // e) for v, e in zip(values, dens)], d
 
 
-def _check_witness(lp: LinearProgram, witness: dict[str, Fraction]) -> None:
+def _check_witness(lp: LinearProgram, witness: dict[str, Fraction]) -> tuple[list[int], int]:
+    """Check ``witness`` against every constraint; return it as ``_common`` does."""
+    if witness.keys() != set(lp.variables):
+        raise CertificateError("witness keys are not the program's variables")
+    values, d = _common([witness[name] for name in lp.variables], "witness")
     for name in lp.nonneg:
-        if witness[name] < 0:
+        if witness[name].numerator < 0:
             raise CertificateError(f"witness violates {name} >= 0")
-    values = [witness[name] for name in lp.variables]
     _, rows = _compiled(lp)
-    for k, ((_, _, nonzeros), (_, relation, bound)) in enumerate(zip(rows, lp.constraints)):
-        value = _row_value(nonzeros, values)
-        if not _COMPARE[relation](value, bound):
+    for k, ((s, _, nonzeros), (_, relation, bound)) in enumerate(zip(rows, lp.constraints)):
+        total = sum(c * values[j] for j, c in nonzeros)  # the row's value times s * d
+        if not _COMPARE[relation](total * bound.denominator, bound.numerator * s * d):
+            value = Fraction(total, s * d)
             raise CertificateError(f"witness violates constraint {k}: {value} {relation} {bound}")
+    return values, d
 
 
 def _check_multipliers(
@@ -559,27 +567,33 @@ def _check_multipliers(
     ``objective - y A`` is 0 on free variables and has the sign of ``sign``
     on nonnegative ones. A Farkas vector is the case of a zero objective
     minimized, whose bound ``y . b`` comes out positive.
+    Each ``y_k / s_k`` is an integer over a common ``d``, so ``y A`` times
+    ``d`` sums integers.
     """
     if y is None or len(y) != len(lp.constraints):
         raise CertificateError("missing or mis-sized multipliers")
-    combo = [_ZERO] * len(lp.variables)
-    total = _ZERO
     _, rows = _compiled(lp)
-    for k, (yk, (_, _, nonzeros), (_, relation, bound)) in enumerate(zip(y, rows, lp.constraints)):
+    multipliers, d = _common(y, "multiplier vector", [s for s, _, _ in rows])
+    combo = [0] * len(lp.variables)
+    total, scale = 0, lcm(*(bound.denominator for _, _, bound in lp.constraints))
+    for k, (yk, (s, _, nonzeros), (_, relation, bound)) in enumerate(
+        zip(multipliers, rows, lp.constraints)
+    ):
         if relation == "<=" and sign * yk > 0 or relation == ">=" and sign * yk < 0:
             raise CertificateError(f"multiplier sign condition violated on constraint {k}")
         if yk:
             for j, c in nonzeros:
                 combo[j] += yk * c
-            total += yk * bound
+            total += yk * s * bound.numerator * (scale // bound.denominator)
     for j, name in enumerate(lp.variables):
-        reduced = objective[j] - combo[j]
+        cost = objective[j]
+        reduced = cost.numerator * d - combo[j] * cost.denominator  # times d and its denominator
         if name in lp.nonneg:
             if sign * reduced < 0:
                 raise CertificateError(f"reduced cost condition violated on {name}")
         elif reduced != 0:
             raise CertificateError(f"reduced cost nonzero on free variable {name}")
-    return total
+    return Fraction(total, d * scale)
 
 
 def check_certificate(lp: LinearProgram, outcome: LPOutcome) -> None:
@@ -588,7 +602,9 @@ def check_certificate(lp: LinearProgram, outcome: LPOutcome) -> None:
     Optimal: the witness is feasible, attains ``optimum``, and the dual vector
     is feasible with matching objective (strong duality). Infeasible: the
     Farkas vector derives an unsatisfiable inequality. Unbounded outcomes
-    carry no certificate.
+    carry no certificate. Every entry of the witness, optimum, dual and
+    Farkas vector must be an int or a ``Fraction``, and the witness must
+    name exactly the program's variables.
     """
     if outcome.status == "unbounded":
         return
@@ -601,11 +617,13 @@ def check_certificate(lp: LinearProgram, outcome: LPOutcome) -> None:
         raise CertificateError(f"unknown status {outcome.status!r}")
     if outcome.witness is None or outcome.optimum is None:
         raise CertificateError("optimal outcome must carry witness, dual, and optimum")
-    _check_witness(lp, outcome.witness)
+    values, d = _check_witness(lp, outcome.witness)
     objective = lp.objective or zero
-    values = [outcome.witness[name] for name in lp.variables]
-    attained = _row_value(enumerate(objective), values)
-    if attained != outcome.optimum:
+    costs, t = _common(objective, "objective")
+    (optimum,), q = _common((outcome.optimum,), "optimum")
+    attained = sum(c * v for c, v in zip(costs, values))
+    if attained * q != optimum * t * d:
+        attained = Fraction(attained, t * d)
         raise CertificateError(f"witness attains {attained}, claimed {outcome.optimum}")
     bound = _check_multipliers(lp, outcome.dual, objective, -1 if lp.sense == "max" else 1)
     if bound != outcome.optimum:

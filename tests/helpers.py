@@ -4,18 +4,22 @@ These deliberately avoid the code paths they check: signed-sum maxima are
 recomputed by exhaustive sign enumeration, small LPs by enumerating all
 basic solutions of the constraint system, the coupling program over all
 atoms is built from the variable cycle alone, apart from the oracle's
-chordal program, and Fourier-Motzkin steps combine and merge whole rows
-one at a time, apart from the projection's compiled plans.
+chordal program, Fourier-Motzkin steps combine and merge whole rows one
+at a time, apart from the projection's compiled plans, and LP certificates
+are checked in ``Fraction`` arithmetic on the coefficients as stated, apart
+from ``ratlp``'s integer checks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 from contextuality import cyclic, fme, oracle
+from contextuality.ratlp import CertificateError
 from contextuality.core import (
     BellSystem,
     LGSystem,
@@ -253,3 +257,76 @@ def reference_projection(sys):
     for var in system.variables[:-1]:
         system = reference_eliminate(system, var)
     return system
+
+
+# ----------------------------------------------------------------------------
+# Reference certificate check, one Fraction at a time
+# ----------------------------------------------------------------------------
+
+_COMPARE = {"<=": operator.le, "==": operator.eq, ">=": operator.ge}
+
+
+def _reference_row_value(coeffs, values) -> Fraction:
+    total = Fraction(0)
+    for c, v in zip(coeffs, values):
+        if c and v:
+            total += c * v
+    return total
+
+
+def _reference_check_witness(lp, witness) -> None:
+    for name in lp.nonneg:
+        if witness[name] < 0:
+            raise CertificateError(f"witness violates {name} >= 0")
+    values = [witness[name] for name in lp.variables]
+    for k, (coeffs, relation, bound) in enumerate(lp.constraints):
+        value = _reference_row_value(coeffs, values)
+        if not _COMPARE[relation](value, bound):
+            raise CertificateError(f"witness violates constraint {k}: {value} {relation} {bound}")
+
+
+def _reference_check_multipliers(lp, y, objective, sign) -> Fraction:
+    if y is None or len(y) != len(lp.constraints):
+        raise CertificateError("missing or mis-sized multipliers")
+    combo = [Fraction(0)] * len(lp.variables)
+    total = Fraction(0)
+    for k, (yk, (coeffs, relation, bound)) in enumerate(zip(y, lp.constraints)):
+        if relation == "<=" and sign * yk > 0 or relation == ">=" and sign * yk < 0:
+            raise CertificateError(f"multiplier sign condition violated on constraint {k}")
+        if yk:
+            for j, c in enumerate(coeffs):
+                combo[j] += yk * c
+            total += yk * bound
+    for j, name in enumerate(lp.variables):
+        reduced = objective[j] - combo[j]
+        if name in lp.nonneg:
+            if sign * reduced < 0:
+                raise CertificateError(f"reduced cost condition violated on {name}")
+        elif reduced != 0:
+            raise CertificateError(f"reduced cost nonzero on free variable {name}")
+    return total
+
+
+def reference_check_certificate(lp, outcome) -> None:
+    """``ratlp.check_certificate`` in ``Fraction`` arithmetic: the same
+    conditions in the same order, raising the same messages, for outcomes
+    whose entries are ``Fraction``s and whose witness names every variable."""
+    if outcome.status == "unbounded":
+        return
+    zero = (Fraction(0),) * len(lp.variables)
+    if outcome.status == "infeasible":
+        if _reference_check_multipliers(lp, outcome.farkas, zero, 1) <= 0:
+            raise CertificateError("Farkas combination does not witness infeasibility")
+        return
+    if outcome.status != "optimal":
+        raise CertificateError(f"unknown status {outcome.status!r}")
+    if outcome.witness is None or outcome.optimum is None:
+        raise CertificateError("optimal outcome must carry witness, dual, and optimum")
+    _reference_check_witness(lp, outcome.witness)
+    objective = lp.objective or zero
+    attained = _reference_row_value(objective, [outcome.witness[name] for name in lp.variables])
+    if attained != outcome.optimum:
+        raise CertificateError(f"witness attains {attained}, claimed {outcome.optimum}")
+    bound = _reference_check_multipliers(lp, outcome.dual, objective, -1 if lp.sense == "max" else 1)
+    if bound != outcome.optimum:
+        raise CertificateError(f"dual objective {bound} differs from optimum {outcome.optimum}")

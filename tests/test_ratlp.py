@@ -1,6 +1,8 @@
+import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from contextuality.ratlp import (
     solve,
     solve_warm,
 )
-from helpers import atom_rows, brute_force_lp
+from helpers import atom_rows, brute_force_lp, reference_check_certificate
 
 F = Fraction
 
@@ -506,3 +508,183 @@ class TestWithBounds:
             LinearProgram(lp.variables, (((1, 0, 0), "<=", bad),))
         with pytest.raises(built.type):
             lp.with_bounds((0, bad, 0, 0))
+
+
+def _message(check, lp, outcome):
+    """The ``CertificateError`` message ``check`` raises, or None if it passes."""
+    try:
+        check(lp, outcome)
+    except CertificateError as exc:
+        return str(exc)
+    return None
+
+
+# Single-entry forgeries: a fresh value, the old one moved by a step down to
+# 1 / (2^61 - 1), or the old one scaled by a nonnegative factor, which keeps
+# its sign and so reaches the later conditions.
+_steps = st.builds(F, st.integers(-3, 3), st.sampled_from(_DENOMINATORS))
+_forgeries = st.tuples(
+    st.sampled_from((lambda old, v: v, operator.add, lambda old, v: old * abs(v))), _steps
+)
+
+
+@st.composite
+def forged_outcomes(draw):
+    """A bounded program, its outcome from ``solve``, and that outcome with
+    at most one entry of its witness, optimum, dual or Farkas vector changed."""
+    lp = draw(bounded_programs())
+    out = solve(lp)
+    fields = ("witness", "optimum", "dual") if out.status == "optimal" else ("farkas",)
+    field = draw(st.sampled_from((None,) + fields))
+    if field is None:
+        return lp, out
+    forge, step = draw(_forgeries)
+    if field == "witness":
+        name = draw(st.sampled_from(lp.variables))
+        value = {**out.witness, name: forge(out.witness[name], step)}
+    elif field == "optimum":
+        value = forge(out.optimum, step)
+    else:
+        value = list(getattr(out, field))
+        k = draw(st.integers(0, len(value) - 1))
+        value[k] = forge(value[k], step)
+        value = tuple(value)
+    return lp, replace(out, **{field: value})
+
+
+class TestIntegerCertificates:
+    """``check_certificate`` compares integers over one common denominator
+    per vector and raises exactly where the ``Fraction`` reference does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(forged_outcomes())
+    def test_same_verdict_and_message_as_the_reference(self, case):
+        lp, out = case
+        assert _message(check_certificate, lp, out) == _message(reference_check_certificate, lp, out)
+
+    def test_forgeries_on_scaled_rows_and_free_variables(self):
+        # rows scaled by s_k = 2, 3, 1 and 4, z free: every forgery
+        # is refused with the reference's message, and the answer passes
+        lp = _mixed_program()
+        out = solve(lp)
+        assert out.status == "optimal" and _message(check_certificate, lp, out) is None
+        forgeries = [replace(out, optimum=out.optimum + F(1, 2**61 - 1))]
+        forgeries += [
+            replace(out, witness={**out.witness, name: out.witness[name] + F(1, 7)})
+            for name in lp.variables
+        ]
+        forgeries += [
+            replace(out, dual=out.dual[:k] + (out.dual[k] - F(1, 3),) + out.dual[k + 1 :])
+            for k in range(len(out.dual))
+        ]
+        for forged in forgeries:
+            message = _message(check_certificate, lp, forged)
+            assert message is not None
+            assert message == _message(reference_check_certificate, lp, forged)
+
+    @pytest.mark.parametrize(
+        "rows, nonneg, field, forged, message",
+        [
+            ((((1,), ">=", 3),), "x", "dual", (F(1, 2),), "dual objective 3/2 differs"),
+            ((((1,), "<=", -1),), "x", "farkas", (0,), "Farkas combination does not"),
+            ((((1,), ">=", 3),), "", "dual", (F(1, 2),), "reduced cost nonzero on free"),
+            ((((1,), ">=", 3),), "x", "dual", (F(3, 2),), "reduced cost condition"),
+            ((((1,), ">=", 3),), "x", "dual", (-1,), "multiplier sign condition"),
+            ((((1,), ">=", 3),), "x", "optimum", F(7, 2), "witness attains 3, claimed 7/2"),
+            ((((1,), ">=", 3),), "x", "witness", {"x": F(-1)}, "witness violates x >= 0"),
+            ((((1,), ">=", 3),), "", "witness", {"x": F(2)}, "constraint 0: 2 >= 3"),
+        ],
+    )
+    def test_each_condition_as_the_reference(self, rows, nonneg, field, forged, message):
+        objective, sense = ((1,), "min") if field != "farkas" else (None, "feasibility")
+        lp = LinearProgram(("x",), rows, objective=objective, sense=sense, nonneg=frozenset(nonneg))
+        out = solve(lp)
+        check_certificate(lp, out)
+        forged = replace(out, **{field: forged})
+        with pytest.raises(CertificateError, match=message):
+            check_certificate(lp, forged)
+        assert _message(check_certificate, lp, forged) == _message(
+            reference_check_certificate, lp, forged
+        )
+
+    def _optimal(self):
+        lp = LinearProgram(("x",), (((1,), ">=", 3),), objective=(1,), sense="min")
+        out = solve(lp)
+        assert (out.optimum, out.witness, out.dual) == (3, {"x": 3}, (1,))
+        return lp, out
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"witness": {}}, "witness keys"),
+            ({"witness": {"x": F(3), "y": F(0)}}, "witness keys"),
+            ({"witness": {"x": 3.0}, "optimum": 3.0}, "witness holds a value"),
+            ({"optimum": 3.0}, "optimum holds a value"),
+            ({"dual": (1.0,)}, "multiplier vector holds"),
+            ({"dual": ("1",)}, "multiplier vector holds"),
+        ],
+    )
+    def test_malformed_optimal_certificates(self, changes, message):
+        lp, out = self._optimal()
+        with pytest.raises(CertificateError, match=message):
+            check_certificate(lp, replace(out, **changes))
+
+    def test_malformed_farkas_vector(self):
+        lp = LinearProgram(("x",), (((1,), ">=", 1), ((1,), "<=", 0)))
+        out = solve(lp)
+        assert out.status == "infeasible"
+        check_certificate(lp, replace(out, farkas=tuple(int(y) for y in out.farkas)))
+        with pytest.raises(CertificateError, match="multiplier vector holds"):
+            check_certificate(lp, replace(out, farkas=tuple(float(y) for y in out.farkas)))
+
+    def test_ints_are_exact(self):
+        lp, out = self._optimal()
+        check_certificate(lp, replace(out, witness={"x": 3}, optimum=3, dual=(1,)))
+
+    def test_derived_programs_share_the_integer_rows(self):
+        from contextuality import oracle, ratlp
+        from contextuality.generators import random_connection_means, random_system
+
+        lp = _mixed_program()
+        cols, rows = ratlp._compiled(lp)
+        for (coeffs, _, _), (s, _, nonzeros) in zip(lp.constraints, rows):
+            assert s == lcm(*(c.denominator for c in coeffs))
+            assert nonzeros == tuple((j, int(s * c)) for j, c in enumerate(coeffs) if c)
+            assert all(type(c) is int for _, c in nonzeros)
+        assert lp.with_bounds((0, 0, 0, 0)).__dict__["_compiled"] is ratlp._compiled(lp)
+        for kind in ("bell", "lg"):
+            for sense in ("min", "max", "feasibility"):
+                compiled = oracle._template(kind, sense).__dict__["_compiled"]
+                for seed in range(3):
+                    sys = random_system(kind, seed)
+                    mismatches = ()
+                    if sense == "feasibility":
+                        means = random_connection_means(sys, seed, True)
+                        mismatches = [(1 - t) / 2 for t in means]
+                    program = oracle._program(sys, sense, mismatches)
+                    solve_warm(program)
+                    assert program.__dict__["_compiled"] is compiled
+
+    def test_checks_are_reached_through_module_globals(self, monkeypatch):
+        # counting wrappers on the module attributes see every check, as
+        # tracers and the oracle tests rely on
+        from contextuality import oracle, ratlp
+        from contextuality.generators import random_system
+
+        calls = []
+        for name in ("check_certificate", "_check_witness"):
+            inner = getattr(ratlp, name)
+
+            def counted(*args, inner=inner, name=name):
+                calls.append(name)
+                return inner(*args)
+
+            monkeypatch.setattr(ratlp, name, counted)
+        assert solve(_mixed_program()).status == "optimal"
+        assert calls == ["check_certificate", "_check_witness"]
+        calls.clear()
+        assert solve_warm(oracle._program(random_system("bell", 3), "min")).status == "optimal"
+        assert calls == ["check_certificate", "_check_witness"]
+        calls.clear()
+        assert solve(LinearProgram(("x",), (((1,), ">=", 1), ((1,), "<=", 0)))).status == "infeasible"
+        assert calls == ["check_certificate"]

@@ -26,8 +26,8 @@ print(f"vertex matrix (bell): {observed_rows + 4 * len(connections)} event rows 
 # The oracle asks the same questions of one 8-cell table per triangle of the
 # fanned variable cycle: exact, since tables that agree on a chordal cover
 # extend to a joint distribution. Shapes of its compiled "min" program (the
-# "max" program has the same rows, and all three start from the basis of one
-# phase 1) and its "feasibility" program next to the atom programs over M:
+# "max" program has the same rows; each starts from its own phase 1) and its
+# "feasibility" program next to the atom programs over M:
 for sense, atom_rows in (("min", observed_rows), ("feasibility", observed_rows + len(connections))):
     chordal = oracle._template("bell", sense)
     print(f"{sense:>11} program: chordal {len(chordal.constraints)} x {len(chordal.variables)}, "

@@ -19,7 +19,7 @@ closed forms are tested against this module, never the other way around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -133,13 +133,9 @@ def _template(kind: str, sense: str) -> LinearProgram:
     The separator rows give every triangle one mass, and each pair's cells
     sum to the mass of a triangle: n - 1 rows depend on the others and keep
     their artificials basic in every start, at zero exactly when all pairs
-    have one mass. The bounds, every observed cell 1/4, fix the starts: the
-    "min" start by phase 1 and 2, the "max" one by phase 2 from the same
-    phase 1, and the "feasibility" one is the "min" one plus mismatch rows.
+    have one mass. The bounds, every observed cell 1/4, fix each start, by
+    the program's own phase 1 and, with an objective, phase 2.
     """
-    if sense == "max":
-        low = _template(kind, "min")
-        return compile_start(replace(low, sense="max"), low)
     _, observed, connections = _CYCLES[kind]
     fan = _fan(kind)
     n_cols = 8 * len(fan)
@@ -164,7 +160,7 @@ def _template(kind: str, sense: str) -> LinearProgram:
         sense=sense,
         nonneg=frozenset(names),
     )
-    return compile_start(program, _template(kind, "min") if sense == "feasibility" else None)
+    return compile_start(program)
 
 
 def _program(sys: System, sense: str, mismatches: Sequence[Fraction] = ()) -> LinearProgram:

@@ -137,7 +137,7 @@ class LinearProgram:
         return program
 
 
-def _compiled(lp: LinearProgram, base: Optional[LinearProgram] = None):
+def _compiled(lp: LinearProgram):
     """``(cols, rows)``, the integer form of ``lp``'s coefficient rows.
 
     ``cols`` lists the structural columns as ``(variable, sign)``: one per
@@ -145,8 +145,7 @@ def _compiled(lp: LinearProgram, base: Optional[LinearProgram] = None):
     ``(s, scaled, nonzeros)``: ``s`` the lcm of the row's coefficient
     denominators, ``scaled`` the row times ``s`` over the structural
     columns, and ``nonzeros`` its ``(index, s * coefficient)`` integer pairs.
-    Cached on ``lp``, and shared by every program ``with_bounds`` derives;
-    the rows of ``base``, which lead ``lp``'s, share ``base``'s.
+    Cached on ``lp``, and shared by every program ``with_bounds`` derives.
     """
     compiled = lp.__dict__.get("_compiled")
     if compiled is None:
@@ -155,8 +154,8 @@ def _compiled(lp: LinearProgram, base: Optional[LinearProgram] = None):
             cols.append((j, 1))
             if name not in lp.nonneg:
                 cols.append((j, -1))
-        rows = list(_compiled(base)[1]) if base else []
-        for coeffs, _, _ in lp.constraints[len(rows) :]:
+        rows = []
+        for coeffs, _, _ in lp.constraints:
             s = lcm(*(c.denominator for c in coeffs))
             a = [c.numerator * (s // c.denominator) for c in coeffs]
             nonzeros = tuple((j, c) for j, c in enumerate(a) if c)
@@ -206,15 +205,9 @@ def solve(lp: LinearProgram) -> LPOutcome:
     it is returned; one that fails raises ``SolverError``.
     """
     t = _phase1(lp)
-    if isinstance(t, LPOutcome):
-        return _certified(lp, t)
-    if lp.sense != "feasibility":
-        m = len(lp.constraints)
-        k, den = _run(t.tab, t.basis, t.den, m, m, t.n_real)
-        if k >= 0:
-            return LPOutcome(status="unbounded")
-        t = t._replace(den=den)
-    return _certified(lp, _readout(lp, t))
+    if isinstance(t, _Tableau):
+        t = _phase2(lp, t)
+    return _certified(lp, t if isinstance(t, LPOutcome) else _readout(lp, t))
 
 
 def _certified(lp: LinearProgram, outcome: LPOutcome) -> LPOutcome:
@@ -407,6 +400,16 @@ def _phase1(lp: LinearProgram) -> _Tableau | LPOutcome:
     return _Tableau(tab, basis, den, units, restate, n_real, L, obj_scale)
 
 
+def _phase2(lp: LinearProgram, t: _Tableau) -> _Tableau | LPOutcome:
+    """Pivot the feasible tableau ``t`` until ``lp``'s objective row prices
+    out: ``t`` there, or the unbounded outcome. A zero objective needs none."""
+    if lp.sense == "feasibility":
+        return t
+    m = len(lp.constraints)
+    k, den = _run(t.tab, t.basis, t.den, m, m, t.n_real)
+    return LPOutcome(status="unbounded") if k >= 0 else t._replace(den=den)
+
+
 def _readout(lp: LinearProgram, t: _Tableau) -> LPOutcome:
     """The optimal outcome at tableau ``t``, whose basis is feasible and
     prices out: the witness, and with an objective its value and dual."""
@@ -437,62 +440,17 @@ def _readout(lp: LinearProgram, t: _Tableau) -> LPOutcome:
     )
 
 
-def compile_start(lp: LinearProgram, base: Optional[LinearProgram] = None) -> LinearProgram:
+def compile_start(lp: LinearProgram) -> LinearProgram:
     """Cache on ``lp``, and return it, the start from which ``solve_warm``
     solves every program derived from ``lp``: ``lp``'s tableau at the basis
     where the primal simplex ends on ``lp``'s own bounds.
-
-    With ``base``, a program compiled without one, no phase 1 runs. ``base``
-    in the other sense negates its objective row in the feasible tableau of
-    ``base``'s phase 1 and optimizes from there. A feasibility program whose
-    first rows are ``base``'s reduces its further rows, equalities, against
-    ``base``'s start and pivots their artificials out (a zero objective
-    prices out at any basis).
     """
-    m, optimize = len(lp.constraints), lp.sense != "feasibility"
-    if base is None:
-        t = _phase1(lp)
-        if isinstance(t, LPOutcome):
-            raise LPConstructionError("the bounds of a start must admit a point")
-        feasible = t._replace(tab=tuple(map(tuple, t.tab)), basis=tuple(t.basis))
-        object.__setattr__(lp, "_feasible", feasible)
-    else:
-        t, m0 = base.__dict__.get("_feasible" if optimize else "_start"), len(base.constraints)
-        if (
-            t is None
-            or (lp.variables, lp.nonneg) != (base.variables, base.nonneg)
-            or [c[:2] for c in lp.constraints[:m0]] != [c[:2] for c in base.constraints]
-            or optimize and (lp.objective != base.objective or m > m0 or lp.sense == base.sense)
-            or any(c[1] != "==" for c in lp.constraints[m0:])
-        ):
-            raise LPConstructionError("lp is neither base in the other sense nor base extended")
-        cols, rows = _compiled(lp, base)
-        width, extra = len(t.tab[0]), m - m0
-        arts = list(range(width, width + extra))
-        tab = [list(row) + [0] * extra for row in t.tab[: m0 + optimize]]
-        if optimize:
-            tab[m] = [-v for v in tab[m]]
-        t = t._replace(
-            tab=tab,
-            basis=list(t.basis) + arts,
-            units=list(t.units) + arts,
-            restate=list(t.restate) + [s for s, _, _ in rows[m0:]],
-        )
-        for k, (_, scaled, _) in enumerate(rows[m0:]):
-            # the new row times den, less its basic entries' multiples of their rows
-            row = [t.den * v for v in scaled] + [0] * (width - len(cols))
-            row += [t.den * (a == k) for a in range(extra)]
-            for b, basic in zip(t.basis, tab):
-                if row[b]:
-                    f = row[b] // t.den
-                    row = [v - f * e for v, e in zip(row, basic)]
-            tab.append(row)
-        t = t._replace(den=_drive_out(tab, t.basis, t.den, m, t.n_real))
-    if optimize:
-        k, den = _run(t.tab, t.basis, t.den, m, m, t.n_real)
-        if k >= 0:
-            raise LPConstructionError("the bounds of a start must bound the objective")
-        t = t._replace(den=den)
+    t = _phase1(lp)
+    if isinstance(t, LPOutcome):
+        raise LPConstructionError("the bounds of a start must admit a point")
+    t = _phase2(lp, t)
+    if isinstance(t, LPOutcome):
+        raise LPConstructionError("the bounds of a start must bound the objective")
     object.__setattr__(lp, "_start", t._replace(tab=tuple(map(tuple, t.tab)), basis=tuple(t.basis)))
     return lp
 

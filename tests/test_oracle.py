@@ -416,7 +416,7 @@ def _seeded_and_degenerate(kind, seed):
 
 
 class TestSharedPhaseOne:
-    """One phase 1 per kind compiles every start; the extrema equal two
+    """The extrema from each kind's "min" and "max" starts equal two
     separate primal solves."""
 
     @pytest.mark.parametrize("kind, seed", [("bell", 401), ("lg", 409)])
@@ -519,3 +519,18 @@ class TestWarmStart:
         expected = _answers(systems)
         oracle._template.cache_clear()
         assert repr(_answers(systems[::-1])[::-1]) == repr(expected)
+
+    def test_each_start_is_its_own_primal_end(self, fresh_templates):
+        # at the template's own bounds the dual simplex makes no pivot, so a
+        # start read out there is the primal simplex's answer on the template
+        for kind in ("bell", "lg"):
+            for sense in ("min", "max", "feasibility"):
+                t = oracle._template(kind, sense)
+                own = t.with_bounds(bound for _, _, bound in t.constraints)
+                assert repr(ratlp.solve_warm(own)) == repr(ratlp.solve(t)), (kind, sense)
+        # a temporal verdict solves only the feasibility program, and compiles
+        # no other template for it
+        oracle._template.cache_clear()
+        sys = random_system("lg", 1)
+        oracle.compatibility_verdicts(sys, random_connection_means(sys, 1, False))
+        assert oracle._template.cache_info().currsize == 1

@@ -438,10 +438,10 @@ class TestSolveExtrema:
         lp = _mixed_program()
         with pytest.raises(LPConstructionError, match="start"):
             solve_warm(lp.with_bounds((0, 0, 0, 0)))
-        # a base whose rows do not lead the program's
-        compile_start(lp)
-        with pytest.raises(LPConstructionError, match="base"):
-            compile_start(replace(lp, constraints=lp.constraints[1:]), lp)
+        # bounds that admit no point fix no start
+        empty = LinearProgram(("x",), (((1,), "<=", -1),), sense="feasibility", nonneg=frozenset({"x"}))
+        with pytest.raises(LPConstructionError, match="admit a point"):
+            compile_start(empty)
 
 
 def _mixed_program():

@@ -133,8 +133,9 @@ def _template(kind: str, sense: str) -> LinearProgram:
     The separator rows give every triangle one mass, and each pair's cells
     sum to the mass of a triangle: n - 1 rows depend on the others and keep
     their artificials basic in every start, at zero exactly when all pairs
-    have one mass. The bounds, every observed cell 1/4, fix each start, by
-    the program's own phase 1 and, with an objective, phase 2.
+    have one mass. The bounds, every observed cell 1/4, fix each start by
+    the program's own phase 1, elimination then the dual simplex, and with
+    an objective phase 2.
     """
     _, observed, connections = _CYCLES[kind]
     fan = _fan(kind)

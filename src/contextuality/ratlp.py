@@ -6,17 +6,19 @@ pivot needs only integer multiply/subtract and one exact division per cell.
 Both price by Dantzig's rule and fall back to Bland's anti-cycling rule
 after a run of degenerate pivots.
 
-``solve`` runs the two-phase primal simplex on any program. Each row is
-scaled by the lcm of its coefficient denominators only and the bounds by
-one program-wide factor ``L``, so the integers stay as small as the
-coefficients and only the rhs column carries the bounds' denominators (see
-``_phase1``).
+``solve`` solves any program. Each row is scaled by the lcm of its
+coefficient denominators only and the bounds by one program-wide factor
+``L``, so the integers stay as small as the coefficients and only the rhs
+column carries the bounds' denominators (see ``_phase1``). Phase 1 pivots
+each equality's artificial out by Gaussian elimination, then the dual
+simplex, under a zero objective that every basis prices out, makes the
+basic values nonnegative; phase 2 runs the primal simplex.
 
 ``solve_warm`` runs the dual simplex on the programs ``with_bounds`` derives
 from one template, which share its rows and their integer form. Reduced
 costs do not depend on the bounds, so the basis ``compile_start`` fixes once,
 at the template's own bounds, prices out for all of them: each starts there,
-with no phase 1.
+with no phase 1. Both methods find infeasibility in that one dual simplex.
 
 Optimal solves carry a rational dual certificate, infeasible solves a Farkas
 certificate. Every answer is certified before it is returned: an optimum by
@@ -198,7 +200,8 @@ def _pivot(tab: list[list[int]], den: int, r: int, s: int) -> int:
 
 
 def solve(lp: LinearProgram) -> LPOutcome:
-    """Solve ``lp`` exactly over the rationals by the two-phase primal simplex.
+    """Solve ``lp`` exactly over the rationals: phase 1 by elimination and the
+    dual simplex, phase 2 by the primal simplex.
 
     Deterministic (see ``_run``): identical programs give identical outcomes.
     Every optimal or infeasible outcome passes ``check_certificate`` before
@@ -207,11 +210,13 @@ def solve(lp: LinearProgram) -> LPOutcome:
     t = _phase1(lp)
     if isinstance(t, _Tableau):
         t = _phase2(lp, t)
-    return _certified(lp, t if isinstance(t, LPOutcome) else _readout(lp, t))
+    return _certified(lp, t)
 
 
-def _certified(lp: LinearProgram, outcome: LPOutcome) -> LPOutcome:
-    """``outcome`` once ``check_certificate`` passes it; ``SolverError`` if not."""
+def _certified(lp: LinearProgram, t: _Tableau | LPOutcome) -> LPOutcome:
+    """The outcome ``t`` is, or that ``_readout`` reads at it, once
+    ``check_certificate`` passes it; ``SolverError`` if not."""
+    outcome = t if isinstance(t, LPOutcome) else _readout(lp, t)
     if outcome.status != "unbounded":
         try:
             check_certificate(lp, outcome)
@@ -292,27 +297,30 @@ def _run(
             stall, prev_num, prev_den = 0, z[rhs], den
 
 
-def _drive_out(tab: list[list[int]], basis: list[int], den: int, m: int, n_real: int) -> int:
-    """Pivot each basic artificial out on its row's first real entry; a row
-    with none depends on the others and keeps it. Returns the denominator."""
+def _drive_out(tab: list[list[int]], basis: list[int], m: int, n_real: int) -> int:
+    """Pivot each basic artificial out by Gaussian elimination, on the real
+    column of its row with the fewest nonzeros over the constraint rows, ties
+    to the lowest index (Markowitz's sparsity rule, Management Science 3,
+    1957); a row with no real entry depends on the others and keeps it.
+    Returns the denominator."""
+    den = 1
     for i in range(m):
         if basis[i] > n_real:
-            j = next((j for j in range(n_real) if tab[i][j]), -1)
-            if j >= 0:
+            real = [j for j in range(n_real) if tab[i][j]]
+            if real:
+                j = min(real, key=lambda j: sum(1 for row in tab[:m] if row[j]))
                 den = _pivot(tab, den, i, j)
                 basis[i] = j
     return den
 
 
-def _scaled_bounds(lp: LinearProgram) -> tuple[list[int], int, list[int]]:
-    """``(costs, L, b)``: each row's ``c_k``, the program-wide ``L`` and
-    each bound times ``s_k * L``, an integer (see ``_phase1``)."""
+def _scaled_bounds(lp: LinearProgram) -> tuple[int, list[int]]:
+    """``(L, b)``: the program-wide ``L`` and each bound times ``s_k * L``,
+    an integer (see ``_phase1``)."""
     _, rows = _compiled(lp)
     pairs = [(s, b) for (s, _, _), (_, _, b) in zip(rows, lp.constraints)]
-    costs = [b.denominator // gcd(s, b.denominator) for s, b in pairs]
-    L = lcm(*costs)
-    scaled = [b.numerator * (s * c // b.denominator) * (L // c) for c, (s, b) in zip(costs, pairs)]
-    return costs, L, scaled
+    L = lcm(*(b.denominator // gcd(s, b.denominator) for s, b in pairs))
+    return L, [b.numerator * (s * L // b.denominator) for s, b in pairs]
 
 
 def _phase1(lp: LinearProgram) -> _Tableau | LPOutcome:
@@ -323,52 +331,30 @@ def _phase1(lp: LinearProgram) -> _Tableau | LPOutcome:
 
     # Row k is constraint k times s_k, the lcm of its coefficient
     # denominators, with every rhs also times L: the tableau solves for
-    # x' = L x. With d_k the bound's denominator, c_k = lcm(s_k, d_k) / s_k
-    # is the part of d_k that s_k leaves, and L = lcm of all c_k makes every
-    # rhs an integer. Artificial k costs c_k in phase 1, which makes the
-    # phase-1 objective L times the sum of artificials of rows scaled by
-    # lcm(s_k, d_k): equality rows pivot as they would on that tableau, while
-    # every entry outside the rhs column stays as small as the coefficients.
+    # x' = L x. L is the lcm of the parts of the bounds' denominators that
+    # their s_k leave, so every rhs is an integer while every entry outside
+    # the rhs column stays as small as the coefficients.
     m = len(lp.constraints)
-    costs, L, bounds = _scaled_bounds(lp)
+    L, bounds = _scaled_bounds(lp)
 
-    # Tableau columns: struct | slack | rhs | artificial. Each row is signed
-    # so that its rhs is nonnegative; ``restate[k]`` (sign times s_k) maps
-    # the row's multiplier back to the constraint as stated. Each row starts
-    # basic in a unit column (its slack when that enters with +1, else a
-    # fresh artificial), where its dual value is read.
+    # Tableau columns: struct | slack | rhs | artificial. Each row is in
+    # "<=" or "==" form, a ">=" row negated, whatever the sign of its rhs;
+    # ``restate[k]`` (that sign times s_k) maps the row's multiplier back to
+    # the constraint as stated. Each row starts basic in a unit column, its
+    # slack or, on an equality, a fresh artificial, where its dual value is read.
     n_real = n_struct + sum(relation != "==" for _, relation, _ in lp.constraints)
-    rhs = n_real
-    tab: list[list[int]] = []
-    basis: list[int] = []
-    restate: list[int] = []
-    art_rows: list[int] = []
-    slack = n_struct
-    for k, ((s, scaled, _), (_, relation, _), b) in enumerate(
-        zip(scaled_rows, lp.constraints, bounds)
-    ):
-        to_le = -1 if relation == ">=" else 1
-        flip = to_le if to_le * b >= 0 else -to_le
-        row = list(scaled) if flip == 1 else [-v for v in scaled]
-        row += [0] * (n_real - n_struct)
-        row.append(flip * b)
-        unit = -1
-        if relation != "==":
-            row[slack] = flip * to_le
-            if flip == to_le:
-                unit = slack
-            slack += 1
-        if unit < 0:
-            row += [0] * len(art_rows) + [1]
-            unit = len(row) - 1
-            art_rows.append(k)
+    width = n_struct + m + 1
+    tab, units, restate = [], [], []
+    slacks, artificials = iter(range(n_struct, n_real)), iter(range(n_real + 1, width))
+    for (s, scaled, _), (_, relation, _), b in zip(scaled_rows, lp.constraints, bounds):
+        sign = -1 if relation == ">=" else 1
+        unit = next(artificials if relation == "==" else slacks)
+        row = [sign * v for v in scaled] + [0] * (width - n_struct)
+        row[n_real], row[unit] = sign * b, 1
         tab.append(row)
-        basis.append(unit)
-        restate.append(flip * s)
-    width = n_real + 1 + len(art_rows)
-    for row in tab:
-        row += [0] * (width - len(row))
-    units = list(basis)
+        units.append(unit)
+        restate.append(sign * s)
+    basis = list(units)
 
     # The objective row rides along through phase 1, which never prices by it.
     minimize = [-c if lp.sense == "max" else c for c in lp.objective or ()]
@@ -376,28 +362,29 @@ def _phase1(lp: LinearProgram) -> _Tableau | LPOutcome:
     if lp.sense != "feasibility":
         scaled = [c.numerator * (obj_scale // c.denominator) for c in minimize]
         tab.append([scaled[var] * sign for var, sign in cols] + [0] * (width - n_struct))
-    den = 1
-    if art_rows:
-        z1 = [0] * (n_real + 1) + [costs[k] for k in art_rows]
-        for k in art_rows:
-            c = costs[k]
-            z1 = [zc - c * tc for zc, tc in zip(z1, tab[k])]
-        Z1 = len(tab)
-        tab.append(z1)
-        k, den = _run(tab, basis, den, Z1, m, n_real)
-        if k >= 0:
-            raise SolverError("phase-1 program reported unbounded")
-        if tab[Z1][rhs] != 0:
-            # Infeasible: the phase-1 duals give a Farkas certificate.
-            # Artificial k's unit column costs c_k in phase 1, a slack 0.
-            farkas = (
-                ((costs[k] if unit > rhs else 0) - Fraction(tab[Z1][unit], den)) * restate[k]
-                for k, unit in enumerate(units)
-            )
-            return LPOutcome(status="infeasible", farkas=tuple(farkas))
-        tab.pop(Z1)  # the phase-1 row is dead from here on
-        den = _drive_out(tab, basis, den, m, n_real)
-    return _Tableau(tab, basis, den, units, restate, n_real, L, obj_scale)
+
+    # Eliminating the artificials may leave basic values negative; a zero
+    # objective prices out at every basis, so the dual simplex repairs them.
+    den = _drive_out(tab, basis, m, n_real)
+    return _dual_simplex(lp, _Tableau(tab, basis, den, units, restate, n_real, L, obj_scale), -1)
+
+
+def _dual_simplex(lp: LinearProgram, t: _Tableau, zi: int) -> _Tableau | LPOutcome:
+    """Pivot ``t``, whose basis prices out by row ``zi`` (-1: a zero
+    objective), to a feasible basis by the dual simplex: ``t`` there, or the
+    infeasible outcome. A nonzero value on a row whose artificial stayed
+    basic, or a row the dual simplex leaves negative with no negative entry,
+    is infeasible: its row of the inverse basis is the Farkas vector."""
+    tab, rhs = t.tab, t.n_real
+    k = next((i for i, b in enumerate(t.basis) if b > rhs and tab[i][rhs]), -1)
+    if k < 0:
+        k, den = _run(tab, t.basis, t.den, zi, len(lp.constraints), rhs, True)
+        t = t._replace(den=den)
+        if k < 0:
+            return t
+    d = t.den if (tab[k][rhs] > 0) == (t.den > 0) else -t.den  # so that y . b > 0
+    farkas = tuple(Fraction(tab[k][u] * r, d) for u, r in zip(t.units, t.restate))
+    return LPOutcome(status="infeasible", farkas=farkas)
 
 
 def _phase2(lp: LinearProgram, t: _Tableau) -> _Tableau | LPOutcome:
@@ -443,7 +430,7 @@ def _readout(lp: LinearProgram, t: _Tableau) -> LPOutcome:
 def compile_start(lp: LinearProgram) -> LinearProgram:
     """Cache on ``lp``, and return it, the start from which ``solve_warm``
     solves every program derived from ``lp``: ``lp``'s tableau at the basis
-    where the primal simplex ends on ``lp``'s own bounds.
+    where ``solve`` ends on ``lp``'s own bounds.
     """
     t = _phase1(lp)
     if isinstance(t, LPOutcome):
@@ -460,31 +447,19 @@ def solve_warm(lp: LinearProgram) -> LPOutcome:
     cached on the program ``lp`` derives from.
 
     The bounds enter the start's rhs column as one integer product with its
-    unit columns, ``den`` times the inverse basis. A nonzero value on a row
-    whose artificial stayed basic, or a row the dual simplex leaves negative
-    with no negative entry, is infeasible: its row of the inverse basis is
-    the Farkas vector. Certified as ``solve``'s answers are, an optimum may
-    be another optimal vertex than ``solve``'s.
+    unit columns, ``den`` times the inverse basis. Certified as ``solve``'s
+    answers are, an optimum may be another optimal vertex than ``solve``'s.
     """
     t = lp.__dict__.get("_start")
     if t is None:
         raise LPConstructionError("lp derives from no program with a compiled start")
-    _, L, bounds = _scaled_bounds(lp)
-    rhs, m = t.n_real, len(lp.constraints)
+    L, bounds = _scaled_bounds(lp)
     scaled = [(u, b if r > 0 else -b) for u, r, b in zip(t.units, t.restate, bounds) if b]
     tab = [list(row) for row in t.tab]
     for row in tab:
-        row[rhs] = sum(row[u] * b for u, b in scaled)
-    t = t._replace(tab=tab, basis=list(t.basis), L=L)
-    k = next((i for i, b in enumerate(t.basis) if b > rhs and tab[i][rhs]), -1)
-    if k < 0:
-        k, den = _run(tab, t.basis, t.den, m if lp.sense != "feasibility" else -1, m, rhs, True)
-        t = t._replace(den=den)
-        if k < 0:
-            return _certified(lp, _readout(lp, t))
-    d = t.den if (tab[k][rhs] > 0) == (t.den > 0) else -t.den  # so that y . b > 0
-    farkas = tuple(Fraction(tab[k][u] * r, d) for u, r in zip(t.units, t.restate))
-    return _certified(lp, LPOutcome(status="infeasible", farkas=farkas))
+        row[t.n_real] = sum(row[u] * b for u, b in scaled)
+    zi = len(lp.constraints) if lp.sense != "feasibility" else -1
+    return _certified(lp, _dual_simplex(lp, t._replace(tab=tab, basis=list(t.basis), L=L), zi))
 
 
 def _common(values, what: str, scales=None) -> tuple[list[int], int]:

@@ -242,7 +242,7 @@ class TestCertifiedAnswers:
             monkeypatch.setattr(module, name, wrapper)
 
         # oracle solves through its own name, the warm solver; ratlp.solve
-        # would count the primal simplex if anything reached it
+        # would count a solve from scratch if anything reached it
         counted(oracle, "solve", "solve")
         counted(ratlp, "solve", "solve")
         counted(ratlp, "check_certificate", "check")
@@ -302,9 +302,8 @@ def _edge_pair(rng: random.Random, mode: str) -> PairDistribution:
 
 class TestDegenerateInputs:
     # zero cells make ties in the ratio test and redundant rows; near-bound
-    # denominators (up to 4 * DENOMINATOR_BOUND) make the rhs factor and the
-    # phase-1 costs large; one anticorrelated pair among correlated ones
-    # makes the system contextual
+    # denominators (up to 4 * DENOMINATOR_BOUND) make the rhs factor L large;
+    # one anticorrelated pair among correlated ones makes the system contextual
     @pytest.mark.parametrize("kind, seed", [("bell", 401), ("lg", 409)])
     def test_report_matches_closed_forms(self, kind, seed):
         rng = random.Random(seed)
@@ -417,12 +416,12 @@ def _seeded_and_degenerate(kind, seed):
 
 class TestSharedPhaseOne:
     """The extrema from each kind's "min" and "max" starts equal two
-    separate primal solves."""
+    separate ``ratlp.solve`` calls."""
 
     @pytest.mark.parametrize("kind, seed", [("bell", 401), ("lg", 409)])
     def test_equal_to_two_solves(self, kind, seed):
         # on degenerate systems the warm path may end at another optimal
-        # vertex than the primal simplex: the witness is checked, not compared
+        # vertex than ``ratlp.solve``: the witness is checked, not compared
         for i, sys in enumerate(_seeded_and_degenerate(kind, seed)):
             low = oracle._program(sys, "min")
             lo = ratlp.solve(low)
@@ -522,7 +521,7 @@ class TestWarmStart:
 
     def test_each_start_is_its_own_primal_end(self, fresh_templates):
         # at the template's own bounds the dual simplex makes no pivot, so a
-        # start read out there is the primal simplex's answer on the template
+        # start read out there is ``solve``'s answer on the template
         for kind in ("bell", "lg"):
             for sense in ("min", "max", "feasibility"):
                 t = oracle._template(kind, sense)

@@ -241,23 +241,48 @@ class TestDeterminismAndCertificates:
     def test_certificates_after_bland_fallback(self, seed):
         # cone rows a.x <= 0 make the origin a highly degenerate vertex: on
         # these seeds Dantzig pricing stalls long enough to switch to Bland's
-        # rule before the optimum is reached
-        rng = random.Random(seed)
-        n = rng.randint(4, 7)
-        m = rng.randint(8, 20)
-        names = tuple(f"x{j}" for j in range(n))
-        cone = [(tuple(rng.randint(-3, 3) for _ in range(n)), "<=", 0) for _ in range(m)]
-        objective = tuple(rng.randint(-3, 3) for _ in range(n))
-        lp = LinearProgram(
-            names, tuple(cone + box(names, -1, 1)), objective=objective, sense="max"
-        )
+        # rule before the optimum is reached. On 45 the switch changes the
+        # pivots (see the test below); on 34 and 61 Bland's rule picks the
+        # pivots Dantzig's would have
+        lp = _cone_program(seed)
         out = solve(lp)
         assert out.status == "optimal"
         check_certificate(lp, out)
 
+    @pytest.mark.parametrize("seed", [0, 24, 27, 45])
+    def test_bland_fallback_changes_the_pivots(self, seed, monkeypatch):
+        from contextuality import ratlp
 
-# Bound denominators from 1 to a 61-bit prime, so that the rhs factor L and
-# the phase-1 costs c_k = lcm(s_k, d_k) / s_k range from 1 to very large.
+        lp = _cone_program(seed)
+        pivots = []
+        pivot = ratlp._pivot
+
+        def recorded(tab, den, r, s):
+            pivots.append((r, s))
+            return pivot(tab, den, r, s)
+
+        monkeypatch.setattr(ratlp, "_pivot", recorded)
+        expected = solve(lp)
+        with_bland = pivots[:]
+        pivots.clear()
+        monkeypatch.setattr(ratlp, "_STALL_LIMIT", 10**9)  # Dantzig's rule throughout
+        assert solve(lp).optimum == expected.optimum
+        assert pivots != with_bland
+
+
+def _cone_program(seed):
+    """Cone rows a.x <= 0 in the box [-1, 1]^n, maximized."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 7)
+    m = rng.randint(8, 20)
+    names = tuple(f"x{j}" for j in range(n))
+    cone = [(tuple(rng.randint(-3, 3) for _ in range(n)), "<=", 0) for _ in range(m)]
+    objective = tuple(rng.randint(-3, 3) for _ in range(n))
+    return LinearProgram(names, tuple(cone + box(names, -1, 1)), objective=objective, sense="max")
+
+
+# Bound denominators from 1 to a 61-bit prime, so that the rhs factor L, the
+# lcm of the parts d_k / gcd(s_k, d_k), ranges from 1 to very large.
 _DENOMINATORS = (1, 2, 3, 7, 64, 97, 10**6 + 3, 2**61 - 1)
 _coefficients = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2, 3, 5)))
 _bounds = st.one_of(

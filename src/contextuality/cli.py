@@ -308,12 +308,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         return _input_error("--samples must be at least 1")
-    summaries = run_verification(
-        kind=args.kind,
-        samples=args.samples,
-        seed=args.seed,
-        run_fme=not args.no_fme,
-    )
+    summaries = run_verification(kind=args.kind, samples=args.samples, seed=args.seed)
     total_failures = 0
     for summary in summaries:
         counts = summary.counts()
@@ -385,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--kind", choices=(*KINDS, "both"), default="both")
-    p_verify.add_argument("--no-fme", action="store_true",
-                          help="skip the projection route (faster)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_derive = sub.add_parser("derive", help="project the mismatch bounds of one system")

@@ -1,8 +1,8 @@
 """Exact linear programming over the rationals.
 
 Two simplex methods work one fraction-free tableau: entries are integers
-sharing a single denominator (the determinant of the current basis), so a
-pivot needs only integer multiply/subtract and one exact division per cell.
+sharing one positive denominator (the basis determinant's absolute value), so
+a pivot needs only integer multiply/subtract and one exact division per cell.
 Both price by Dantzig's rule and fall back to Bland's anti-cycling rule
 after a run of degenerate pivots.
 
@@ -184,8 +184,11 @@ class LPOutcome:
 
 
 def _pivot(tab: list[list[int]], den: int, r: int, s: int) -> int:
-    """Fraction-free pivot on row r, column s; returns the new denominator."""
+    """Fraction-free pivot on row r, column s; returns the new denominator, the
+    pivot entry made positive by first negating its row, which keeps its values."""
     prow = tab[r]
+    if prow[s] < 0:
+        prow = tab[r] = [-e for e in prow]
     p = prow[s]
     for i in range(len(tab)):
         if i == r:
@@ -207,10 +210,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
     Every optimal or infeasible outcome passes ``check_certificate`` before
     it is returned; one that fails raises ``SolverError``.
     """
-    t = _phase1(lp)
-    if isinstance(t, _Tableau):
-        t = _phase2(lp, t)
-    return _certified(lp, t)
+    return _certified(lp, _solved(lp))
 
 
 def _certified(lp: LinearProgram, t: _Tableau | LPOutcome) -> LPOutcome:
@@ -230,8 +230,9 @@ _STALL_LIMIT = 12
 
 class _Tableau(NamedTuple):
     """A tableau at some basis: constraint rows, then the objective row (times
-    ``obj_scale``) if any. Column ``n_real`` is the rhs, a basic value its entry
-    over ``den * L``; ``units`` and ``restate`` are as built in ``_phase1``."""
+    ``obj_scale``) if any, each entry over ``den`` > 0. Column ``n_real`` is the
+    rhs, a basic value its entry over ``den * L``; ``units`` and ``restate`` are
+    as built in ``_phase1``."""
 
     tab: list[list[int]]
     basis: list[int]
@@ -261,16 +262,15 @@ def _run(
     z = tab[zi] if zi >= 0 else [0] * (rhs + 1)
     prev_num, prev_den = z[rhs], den
     while True:
-        pos_den = den > 0
         prices, keys = ([row[rhs] for row in tab[:m]], basis) if dual else (z[:rhs], range(rhs))
         first, best = -1, 0
         if stall < _STALL_LIMIT:
             for k, v in enumerate(prices):
-                if (v < best) if pos_den else (v > best):
+                if v < best:
                     best, first = v, k
         else:
             for k, v in enumerate(prices):
-                if v and (v < 0) == pos_den and (first < 0 or keys[k] < keys[first]):
+                if v < 0 and (first < 0 or keys[k] < keys[first]):
                     first = k
         if first < 0:
             return -1, den
@@ -280,7 +280,7 @@ def _run(
             line, keys = [(row[rhs], row[first]) for row in tab[:m]], basis
         second, lnum, lden = -1, 0, 0
         for k, (num, t) in enumerate(line):
-            if t and (t > 0) == pos_den:
+            if t > 0:
                 left, right = num * lden, lnum * t
                 if second < 0 or left < right or (left == right and keys[k] < keys[second]):
                     second, lnum, lden = k, num, t
@@ -382,15 +382,16 @@ def _dual_simplex(lp: LinearProgram, t: _Tableau, zi: int) -> _Tableau | LPOutco
         t = t._replace(den=den)
         if k < 0:
             return t
-    d = t.den if (tab[k][rhs] > 0) == (t.den > 0) else -t.den  # so that y . b > 0
+    d = t.den if tab[k][rhs] > 0 else -t.den  # so that y . b > 0
     farkas = tuple(Fraction(tab[k][u] * r, d) for u, r in zip(t.units, t.restate))
     return LPOutcome(status="infeasible", farkas=farkas)
 
 
-def _phase2(lp: LinearProgram, t: _Tableau) -> _Tableau | LPOutcome:
-    """Pivot the feasible tableau ``t`` until ``lp``'s objective row prices
-    out: ``t`` there, or the unbounded outcome. A zero objective needs none."""
-    if lp.sense == "feasibility":
+def _solved(lp: LinearProgram) -> _Tableau | LPOutcome:
+    """``lp``'s optimal tableau, or its infeasible or unbounded outcome: phase 1,
+    then, with an objective, phase 2, the primal simplex priced by its row."""
+    t = _phase1(lp)
+    if isinstance(t, LPOutcome) or lp.sense == "feasibility":
         return t
     m = len(lp.constraints)
     k, den = _run(t.tab, t.basis, t.den, m, m, t.n_real)
@@ -432,12 +433,10 @@ def compile_start(lp: LinearProgram) -> LinearProgram:
     solves every program derived from ``lp``: ``lp``'s tableau at the basis
     where ``solve`` ends on ``lp``'s own bounds.
     """
-    t = _phase1(lp)
+    t = _solved(lp)
     if isinstance(t, LPOutcome):
-        raise LPConstructionError("the bounds of a start must admit a point")
-    t = _phase2(lp, t)
-    if isinstance(t, LPOutcome):
-        raise LPConstructionError("the bounds of a start must bound the objective")
+        need = "admit a point" if t.status == "infeasible" else "bound the objective"
+        raise LPConstructionError(f"the bounds of a start must {need}")
     object.__setattr__(lp, "_start", t._replace(tab=tuple(map(tuple, t.tab)), basis=tuple(t.basis)))
     return lp
 
@@ -477,8 +476,8 @@ def _check_witness(lp: LinearProgram, witness: dict[str, Fraction]) -> tuple[lis
     if witness.keys() != set(lp.variables):
         raise CertificateError("witness keys are not the program's variables")
     values, d = _common([witness[name] for name in lp.variables], "witness")
-    for name in lp.nonneg:
-        if witness[name].numerator < 0:
+    for name in lp.variables:
+        if name in lp.nonneg and witness[name].numerator < 0:
             raise CertificateError(f"witness violates {name} >= 0")
     _, rows = _compiled(lp)
     for k, ((s, _, nonzeros), (_, relation, bound)) in enumerate(zip(rows, lp.constraints)):

@@ -1,10 +1,10 @@
 """Cross-route verification harness.
 
 For seeded random systems, every quantity this library computes in closed
-form is recomputed by the LP oracle and (optionally) by Fourier-Motzkin
-projection. Each of the ``CHECKS`` is one row pairing a closed-form value
-with another route's value, compared with exact rational equality. Any
-difference is a defect in one of the routes; zero tolerance applies.
+form is recomputed by the LP oracle and by Fourier-Motzkin projection. Each
+of the ``CHECKS`` is one row pairing a closed-form value with another route's
+value, compared with exact rational equality. Any difference is a defect in
+one of the routes; zero tolerance applies.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def _constraint_for(index: int) -> str:
     return "no_signaling" if index % 3 == 0 else "none"
 
 
-def _comparisons(sys, index: int, child: int, run_fme: bool):
+def _comparisons(sys, index: int, child: int):
     """Rows (check, closed-form value, other route's value, detail) in ``CHECKS`` order."""
     # the generalized treatment: temporal systems without the causal pin
     closed = cyclic.analyze(sys)
@@ -73,10 +73,9 @@ def _comparisons(sys, index: int, child: int, run_fme: bool):
            f"closed {closed.degree} != oracle {oracle_degree}")
     yield ("interval", closed_interval, lp_interval,
            f"closed {closed_interval} != oracle {lp_interval}")
-    if run_fme:
-        fme_interval = fme.derive_delta_bounds(sys)
-        yield ("fme_interval", fme_interval, lp_interval,
-               f"fme {fme_interval} != oracle {lp_interval}")
+    fme_interval = fme.derive_delta_bounds(sys)
+    yield ("fme_interval", fme_interval, lp_interval,
+           f"fme {fme_interval} != oracle {lp_interval}")
     yield ("criterion_vs_polytope", closed.noncontextual, polytope.feasible_at_c0,
            f"compatible_at_c0 {polytope.feasible_at_c0} != noncontextual {closed.noncontextual}")
     means = random_connection_means(sys, split_seed(child, 1), inside_bounds=bool(index % 2))
@@ -89,18 +88,17 @@ def _comparisons(sys, index: int, child: int, run_fme: bool):
                f"!= classic {closed.classic_satisfied}")
 
 
-def verify_kind(kind: str, samples: int, seed: int, run_fme: bool = True) -> VerificationSummary:
+def verify_kind(kind: str, samples: int, seed: int) -> VerificationSummary:
     """Run every cross-route check on ``samples`` seeded systems of one kind.
 
-    Each sample yields one row per check that applies to it: ``fme_interval``
-    only with ``run_fme``, ``classic_reduction`` only on no-signaling samples.
+    Each sample yields one row per check, ``classic_reduction`` on no-signaling ones only.
     A row whose two values differ is recorded as a ``CheckFailure``.
     """
     summary = VerificationSummary(kind=kind, samples=samples)
     for index in range(samples):
         child = split_seed(seed, index)
         sys = random_system(kind, child, _constraint_for(index))
-        for check, closed, other, detail in _comparisons(sys, index, child, run_fme):
+        for check, closed, other, detail in _comparisons(sys, index, child):
             summary.checks_run += 1
             if closed != other:
                 summary.failures.append(CheckFailure(check, kind, index, child, detail))
@@ -108,7 +106,7 @@ def verify_kind(kind: str, samples: int, seed: int, run_fme: bool = True) -> Ver
 
 
 def run_verification(
-    kind: str = "both", samples: int = 100, seed: int = 0, run_fme: bool = True
+    kind: str = "both", samples: int = 100, seed: int = 0
 ) -> list[VerificationSummary]:
     kinds = tuple(KINDS) if kind == "both" else (kind,)
-    return [verify_kind(k, samples, seed, run_fme=run_fme) for k in kinds]
+    return [verify_kind(k, samples, seed) for k in kinds]

@@ -275,8 +275,8 @@ def _reference_row_value(coeffs, values) -> Fraction:
 
 
 def _reference_check_witness(lp, witness) -> None:
-    for name in lp.nonneg:
-        if witness[name] < 0:
+    for name in lp.variables:
+        if name in lp.nonneg and witness[name] < 0:
             raise CertificateError(f"witness violates {name} >= 0")
     values = [witness[name] for name in lp.variables]
     for k, (coeffs, relation, bound) in enumerate(lp.constraints):

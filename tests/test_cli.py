@@ -99,6 +99,28 @@ class TestParseSystemDocument:
             code, _, err = run_cli([command, write_doc(tmp_path, "b.json", doc)])
             assert code == 2 and "pair '11' field 'pp'" in err
 
+    @pytest.mark.parametrize(
+        "change, message, pair",
+        [
+            (lambda doc: [doc], "document must be a JSON object", None),
+            (lambda doc: dict(doc, representation="probabilities"), "representation must be", None),
+            (lambda doc: {k: v for k, v in doc.items() if k != "pairs"}, "missing 'pairs' object", None),
+            (lambda doc: dict(doc, pairs={k: v for k, v in doc["pairs"].items() if k != "22"}),
+             "missing pair '22'", "22"),
+            (lambda doc: dict(doc, pairs=dict(doc["pairs"], **{"12": ["0", "0", "1"]})),
+             "pair '12' must be an object", "12"),
+            (lambda doc: dict(doc, pairs=dict(doc["pairs"], **{"21": {"x": "1", "y": "1", "xy": "-1"}})),
+             "pair '21': ", "21"),
+        ],
+    )
+    def test_document_errors(self, change, message, pair, tmp_path):
+        doc = change(PR_DOC)
+        with pytest.raises(DocumentError, match=message) as err:
+            parse_system_document(doc)
+        assert err.value.pair == pair
+        code, _, err_text = run_cli(["analyze", write_doc(tmp_path, "bad.json", doc)])
+        assert code == 2 and message in err_text
+
     def test_bad_kind(self):
         with pytest.raises(DocumentError):
             parse_system_document({"kind": "ghz", "pairs": {}})
@@ -197,6 +219,30 @@ class TestAnalyze:
         payload = json.loads(out)
         assert payload["values"]["delta_min"] == "1.00"
 
+    def test_zero_decimals_round_to_integers(self, tmp_path):
+        doc = {
+            "kind": "bell",
+            "representation": "expectations",
+            "pairs": {k: {"x": "1/3", "y": "0", "xy": "1/7"} for k in ("11", "12", "21", "22")},
+        }
+        path = write_doc(tmp_path, "third.json", doc)
+        _, out, _ = run_cli(["analyze", path, "--format", "json"])
+        exact = json.loads(out)
+        code, out, _ = run_cli(["analyze", path, "--format", "json", "--decimals", "0"])
+        rounded = json.loads(out)
+        assert code == 0
+        for section in ("values", "slacks"):
+            assert rounded[section] == {k: str(round(F(v))) for k, v in exact[section].items()}
+        assert rounded["values"]["delta_max"] == "3" and rounded["slacks"]["lower_from_statistic"] == "-1"
+
+    def test_text_output_names_the_causal_treatment(self, tmp_path):
+        path = write_doc(tmp_path, "lg.json", LG_ANTI_DOC)
+        for flags, shown in (([], "true"), (["--no-causal"], "false")):
+            _, out, _ = run_cli(["analyze", path, *flags])
+            assert out.splitlines()[:2] == ["kind: lg", f"causal: {shown}"]
+        _, out, _ = run_cli(["analyze", write_doc(tmp_path, "pr.json", PR_DOC)])
+        assert "causal:" not in out
+
     def test_decimals_limit(self, tmp_path):
         path = write_doc(tmp_path, "pr.json", PR_DOC)
         code, _, err = run_cli(["analyze", path, "--decimals", "4300"])
@@ -292,6 +338,21 @@ class TestSweep:
         ])
         assert code == 2 and "step" in err
 
+    @pytest.mark.parametrize("text", ["0:1", "0:1:1/2:1"])
+    def test_range_not_start_stop_step_exit_two(self, text, tmp_path):
+        code, _, err = run_cli([
+            "sweep", "--delta", text, "--epsilon", "0:0:1", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2 and f"range must be start:stop:step, got {text!r}" in err
+
+    def test_unwritable_out_exit_two(self, tmp_path):
+        out_path = tmp_path / "missing" / "x.csv"
+        code, _, err = run_cli([
+            "sweep", "--delta", "0:0:1", "--epsilon", "0:0:1", "--out", str(out_path),
+        ])
+        assert code == 2 and err.startswith("error: ") and str(out_path) in err
+        assert not out_path.parent.exists()
+
     def test_oversized_range_exit_two_promptly(self, tmp_path):
         out_path = tmp_path / "x.csv"
         start = time.perf_counter()
@@ -357,7 +418,7 @@ class TestVerify:
             return replace(report, degree=report.degree + 1) if len(seen) == 1 else report
 
         monkeypatch.setattr(cyclic, "analyze", faulty)
-        code, out, _ = run_cli(["verify", "--samples", "2", "--kind", "bell", "--no-fme"])
+        code, out, _ = run_cli(["verify", "--samples", "2", "--kind", "bell"])
         assert code == 1
         assert "first_failure: sample 0" in out
 

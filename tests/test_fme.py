@@ -491,3 +491,33 @@ class TestPlanAgainstReference:
 
         monkeypatch.setattr(fme, "gcd", refuse)
         assert _outcome(eliminate, system, "x") == expected
+
+
+class TestInequalitySystem:
+    def test_row_length_mismatch(self):
+        with pytest.raises(ValueError, match="row 0: 2 coefficients for 1 variables"):
+            InequalitySystem(("a",), (((1, 2), "<=", 0),))
+
+    def test_unknown_relation(self):
+        with pytest.raises(ValueError, match="row 1: unknown relation '>='"):
+            InequalitySystem(("a",), (((1,), "<=", 0), ((1,), ">=", 0)))
+
+    def test_format_skips_zeros_and_writes_coefficients(self):
+        system = InequalitySystem(
+            ("a", "b", "c", "d"),
+            (
+                ((0, 2, F(-3, 2), 1), "<=", 1),
+                ((0, 0, 0, 0), "==", 0),
+                ((-1, 0, 0, F(1, 2)), "<=", F(-1, 3)),
+            ),
+        )
+        assert system.format().splitlines() == [
+            "2*b - 3/2*c + d <= 1",
+            "0 == 0",
+            "- a + 1/2*d <= -1/3",
+        ]
+
+    @pytest.mark.parametrize("c", [1, -1])
+    def test_one_sided_projection_raises(self, c):
+        with pytest.raises(RuntimeError, match="no two-sided bounds"):
+            fme._interval(InequalitySystem(("delta",), (((c,), "<=", 3),)))

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from contextuality import bell, lg, oracle
-from contextuality.core import FrechetViolationError, validate
+from contextuality.core import FrechetViolationError, PairDistribution, validate
 from contextuality.generators import (
+    GenerationError,
     deterministic_bell,
     deterministic_lg,
     lg_anticorrelated,
@@ -109,6 +110,30 @@ class TestRandomSystem:
     def test_samples_are_valid(self, kind):
         for i in range(200):
             assert validate(random_system(kind, split_seed(6, i))) == []
+
+    def test_signaling_only_resamples_a_no_signaling_draw(self, monkeypatch):
+        from contextuality import generators
+
+        draws, draw = [], generators._random_pair
+        uniform = PairDistribution(*(F(1, 4),) * 4)
+
+        def uniform_first(rng):
+            draws.append(rng)
+            return uniform if len(draws) <= 4 else draw(rng)
+
+        monkeypatch.setattr(generators, "_random_pair", uniform_first)
+        sys = random_system("bell", 3, "signaling_only")
+        assert len(draws) > 4
+        assert any(m1 != m2 for m1, m2 in bell.connection_marginal_pairs(sys))
+
+    def test_gives_up_after_max_attempts(self, monkeypatch):
+        from contextuality import generators
+
+        monkeypatch.setattr(generators, "_random_pair", lambda rng: PairDistribution(*(F(1, 4),) * 4))
+        monkeypatch.setattr(generators, "MAX_ATTEMPTS", 3)
+        message = "no valid lg system with constraint 'signaling_only' in 3 attempts"
+        with pytest.raises(GenerationError, match=message):
+            random_system("lg", 0, "signaling_only")
 
     def test_rejects_unknown_inputs(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,12 @@
 import operator
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,9 @@ from contextuality.ratlp import (
     CertificateError,
     LinearProgram,
     LPConstructionError,
+    LPOutcome,
+    SolverError,
+    _pivot,
     check_certificate,
     compile_start,
     solve,
@@ -20,6 +27,7 @@ from contextuality.ratlp import (
 from helpers import atom_rows, brute_force_lp, reference_check_certificate
 
 F = Fraction
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def box(names, lo=-5, hi=5):
@@ -62,6 +70,8 @@ class TestSolveBasics:
     def test_unbounded(self):
         lp = LinearProgram(("x",), (), objective=(1,), sense="max")
         assert solve(lp).status == "unbounded"
+        # an unbounded outcome carries no certificate to check
+        assert check_certificate(lp, LPOutcome(status="unbounded")) is None
 
     def test_native_equalities(self):
         lp = LinearProgram(
@@ -135,6 +145,19 @@ class TestConstruction:
     def test_unknown_nonneg_name(self):
         with pytest.raises(LPConstructionError):
             LinearProgram(("x",), (), nonneg=frozenset({"z"}))
+
+    @pytest.mark.parametrize("item", [((1,), "<="), 5])
+    def test_constraint_not_a_triple(self, item):
+        with pytest.raises(LPConstructionError, match=r"constraint 0: expected \(coefficients"):
+            LinearProgram(("x",), (item,))
+
+    def test_unknown_sense(self):
+        with pytest.raises(LPConstructionError, match="unknown sense 'maximize'"):
+            LinearProgram(("x",), (), objective=(1,), sense="maximize")
+
+    def test_objective_length_mismatch(self):
+        with pytest.raises(LPConstructionError, match="objective has 1 coefficients for 2 variables"):
+            LinearProgram(("x", "y"), (), objective=(1,), sense="min")
 
 
 class TestDeterminismAndCertificates:
@@ -647,6 +670,11 @@ class TestIntegerCertificates:
             ({"optimum": 3.0}, "optimum holds a value"),
             ({"dual": (1.0,)}, "multiplier vector holds"),
             ({"dual": ("1",)}, "multiplier vector holds"),
+            ({"dual": None}, "missing or mis-sized multipliers"),
+            ({"dual": (1, 0)}, "missing or mis-sized multipliers"),
+            ({"witness": None}, "must carry witness, dual, and optimum"),
+            ({"optimum": None}, "must carry witness, dual, and optimum"),
+            ({"status": "optimum"}, "unknown status 'optimum'"),
         ],
     )
     def test_malformed_optimal_certificates(self, changes, message):
@@ -661,6 +689,43 @@ class TestIntegerCertificates:
         check_certificate(lp, replace(out, farkas=tuple(int(y) for y in out.farkas)))
         with pytest.raises(CertificateError, match="multiplier vector holds"):
             check_certificate(lp, replace(out, farkas=tuple(float(y) for y in out.farkas)))
+        for farkas in (None, out.farkas[:1]):
+            with pytest.raises(CertificateError, match="missing or mis-sized multipliers"):
+                check_certificate(lp, replace(out, farkas=farkas))
+
+    def test_failed_certificate_raises_solver_error(self, monkeypatch):
+        from contextuality import ratlp
+
+        def refuse(lp, outcome):
+            raise CertificateError("forged refusal")
+
+        monkeypatch.setattr(ratlp, "check_certificate", refuse)
+        with pytest.raises(SolverError, match="optimal outcome fails its certificate: forged refusal"):
+            solve(_mixed_program())
+        with pytest.raises(SolverError, match="infeasible outcome fails its certificate"):
+            solve(LinearProgram(("x",), (((1,), ">=", 1), ((1,), "<=", 0))))
+
+    def test_nonnegativity_is_checked_in_variable_order(self):
+        # with x and y both negative the message names x, whatever order
+        # the string hash gives the nonneg frozenset
+        script = (
+            "from contextuality.ratlp import CertificateError, LinearProgram, LPOutcome,"
+            " check_certificate\n"
+            "lp = LinearProgram(('x', 'y', 'z'), (), nonneg=frozenset('xyz'))\n"
+            "witness = {'x': -1, 'y': -1, 'z': 0}\n"
+            "try:\n"
+            "    check_certificate(lp, LPOutcome('optimal', 0, witness, ()))\n"
+            "except CertificateError as exc:\n"
+            "    print(exc)\n"
+        )
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+            )
+            assert done.returncode == 0, done.stderr
+            assert done.stdout == "witness violates x >= 0\n"
 
     def test_ints_are_exact(self):
         lp, out = self._optimal()
@@ -713,3 +778,65 @@ class TestIntegerCertificates:
         calls.clear()
         assert solve(LinearProgram(("x",), (((1,), ">=", 1), ((1,), "<=", 0)))).status == "infeasible"
         assert calls == ["check_certificate"]
+
+
+def _signed_bareiss(tab, den, r, s):
+    """One fraction-free pivot on (r, s) that leaves the pivot row as it is
+    and lets the new denominator take the pivot entry's sign."""
+    prow, p = tab[r], tab[r][s]
+    rows = [prow if i == r else [(e * p - row[s] * q) // den for e, q in zip(row, prow)]
+            for i, row in enumerate(tab)]
+    return rows, p
+
+
+@st.composite
+def pivot_sequences(draw):
+    """A small integer tableau (denominator 1) and picks among its nonzero
+    entries, one per pivot."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    row = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    tab = draw(st.lists(row, min_size=m, max_size=m))
+    return tab, draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=6))
+
+
+class TestPositiveDenominator:
+    """``_pivot`` keeps the tableau's denominator positive, and each entry
+    over it the value a signed Bareiss step gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bounded_programs(), template_programs(), st.data())
+    def test_every_denominator_is_positive(self, lp, template, data):
+        from contextuality import ratlp
+
+        dens, pivot = [], ratlp._pivot
+
+        def recording(*args):
+            dens.append(pivot(*args))
+            return dens[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ratlp, "_pivot", recording)
+            solve(template)
+            solve_warm(template)
+            if solve(lp).status == "optimal":
+                compile_start(lp)
+                m = len(lp.constraints)
+                solve_warm(lp.with_bounds(data.draw(st.lists(_bounds, min_size=m, max_size=m))))
+        assert dens and all(den > 0 for den in dens)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pivot_sequences())
+    def test_same_values_as_a_signed_bareiss_step(self, case):
+        tab, picks = case
+        ours, den, ref, ref_den = [list(row) for row in tab], 1, tab, 1
+        for pick in picks:
+            nonzero = [(r, s) for r, row in enumerate(ref) for s, v in enumerate(row) if v]
+            if not nonzero:
+                break
+            r, s = nonzero[pick % len(nonzero)]
+            den = _pivot(ours, den, r, s)
+            ref, ref_den = _signed_bareiss(ref, ref_den, r, s)
+            assert den == abs(ref_den) > 0
+            assert [[F(v, den) for v in row] for row in ours] == [
+                [F(v, ref_den) for v in row] for row in ref
+            ]

@@ -124,6 +124,8 @@ def load_system(path: str) -> System:
             data = json.load(handle, parse_float=str)
         except ValueError as exc:  # bad JSON or UTF-8, or an over-long integer
             raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise DocumentError(f"{path} nests deeper than the JSON reader can follow") from exc
     return parse_system_document(data)
 
 

@@ -6,19 +6,21 @@ a pivot needs only integer multiply/subtract and one exact division per cell.
 Both price by Dantzig's rule and fall back to Bland's anti-cycling rule
 after a run of degenerate pivots.
 
-``solve`` solves any program. Each row is scaled by the lcm of its
-coefficient denominators only and the bounds by one program-wide factor
-``L``, so the integers stay as small as the coefficients and only the rhs
-column carries the bounds' denominators (see ``_phase1``). Phase 1 pivots
-each equality's artificial out by Gaussian elimination, then the dual
-simplex, under a zero objective that every basis prices out, makes the
-basic values nonnegative; phase 2 runs the primal simplex.
+Each row is scaled by the lcm of its coefficient denominators only and the
+bounds by one program-wide factor ``L``, so the integers stay as small as
+the coefficients and only the rhs column carries the bounds' denominators.
+The bounds enter a tableau in one place, ``_dual_simplex``, as the rhs
+column: the scaled bounds times the unit columns, ``den`` times the inverse
+basis. The dual simplex then makes the basic values nonnegative from any
+basis that prices out, since reduced costs do not depend on the bounds.
 
-``solve_warm`` runs the dual simplex on the programs ``with_bounds`` derives
-from one template, which share its rows and their integer form. Reduced
-costs do not depend on the bounds, so the basis ``compile_start`` fixes once,
-at the template's own bounds, prices out for all of them: each starts there,
-with no phase 1. Both methods find infeasibility in that one dual simplex.
+``solve``'s phase 1 is that dual simplex, under a zero objective, from the
+elimination basis, where Gaussian elimination has pivoted each equality's
+artificial out (``_eliminated``); phase 2 runs the primal simplex.
+``solve_warm`` enters the bounds of each program ``with_bounds`` derives
+from one template, which share its rows and their integer form, at the
+optimal basis ``compile_start`` fixes once, at the template's own bounds.
+Both find infeasibility in that one dual simplex.
 
 Optimal solves carry a rational dual certificate, infeasible solves a Farkas
 certificate. Every answer is certified before it is returned: an optimum by
@@ -231,8 +233,8 @@ _STALL_LIMIT = 12
 class _Tableau(NamedTuple):
     """A tableau at some basis: constraint rows, then the objective row (times
     ``obj_scale``) if any, each entry over ``den`` > 0. Column ``n_real`` is the
-    rhs, a basic value its entry over ``den * L``; ``units`` and ``restate`` are
-    as built in ``_phase1``."""
+    rhs, a basic value its entry over ``den * L``, which ``_dual_simplex``
+    alone writes; ``units`` and ``restate`` are as built in ``_eliminated``."""
 
     tab: list[list[int]]
     basis: list[int]
@@ -253,14 +255,15 @@ def _run(
     Primal, the most negative reduced cost enters; dual, the most negative
     value leaves. The ratio test along that column (over rows ``0 .. m-1``)
     or row picks the other end, ties to the lowest basis index or column.
-    After _STALL_LIMIT degenerate pivots in a row, Bland's rule takes the
-    lowest-index line until the objective moves again, which rules out
+    A pivot is degenerate, and leaves the objective where it is, when the
+    ratio it takes has a zero numerator: the leaving row's value, or, dual,
+    the entering reduced cost. After _STALL_LIMIT of them in a row, Bland's
+    rule takes the lowest-index line until one is not, which rules out
     cycling. Returns ``(k, den)``, ``k`` -1 or a line with no pivot: an
     unbounded column, or a row no point makes nonnegative.
     """
     rhs, stall = n_real, 0
     z = tab[zi] if zi >= 0 else [0] * (rhs + 1)
-    prev_num, prev_den = z[rhs], den
     while True:
         prices, keys = ([row[rhs] for row in tab[:m]], basis) if dual else (z[:rhs], range(rhs))
         first, best = -1, 0
@@ -291,10 +294,7 @@ def _run(
         basis[leave] = enter
         if zi >= 0:
             z = tab[zi]
-        if z[rhs] * prev_den == prev_num * den:
-            stall += 1
-        else:
-            stall, prev_num, prev_den = 0, z[rhs], den
+        stall = stall + 1 if lnum == 0 else 0
 
 
 def _drive_out(tab: list[list[int]], basis: list[int], m: int, n_real: int) -> int:
@@ -314,43 +314,27 @@ def _drive_out(tab: list[list[int]], basis: list[int], m: int, n_real: int) -> i
     return den
 
 
-def _scaled_bounds(lp: LinearProgram) -> tuple[int, list[int]]:
-    """``(L, b)``: the program-wide ``L`` and each bound times ``s_k * L``,
-    an integer (see ``_phase1``)."""
-    _, rows = _compiled(lp)
-    pairs = [(s, b) for (s, _, _), (_, _, b) in zip(rows, lp.constraints)]
-    L = lcm(*(b.denominator // gcd(s, b.denominator) for s, b in pairs))
-    return L, [b.numerator * (s * L // b.denominator) for s, b in pairs]
-
-
-def _phase1(lp: LinearProgram) -> _Tableau | LPOutcome:
-    """Build ``lp``'s tableau and pivot it to a feasible basis: the
-    ``_Tableau`` there, or the infeasible outcome with its Farkas vector."""
+def _eliminated(lp: LinearProgram) -> _Tableau:
+    """``lp``'s tableau, with a zero rhs column, at the basis where Gaussian
+    elimination pivots each equality's artificial out. It depends only on the
+    coefficient rows and the objective: the bounds enter in ``_dual_simplex``."""
     cols, scaled_rows = _compiled(lp)
-    n_struct = len(cols)
+    n_struct, m = len(cols), len(lp.constraints)
 
-    # Row k is constraint k times s_k, the lcm of its coefficient
-    # denominators, with every rhs also times L: the tableau solves for
-    # x' = L x. L is the lcm of the parts of the bounds' denominators that
-    # their s_k leave, so every rhs is an integer while every entry outside
-    # the rhs column stays as small as the coefficients.
-    m = len(lp.constraints)
-    L, bounds = _scaled_bounds(lp)
-
-    # Tableau columns: struct | slack | rhs | artificial. Each row is in
-    # "<=" or "==" form, a ">=" row negated, whatever the sign of its rhs;
-    # ``restate[k]`` (that sign times s_k) maps the row's multiplier back to
-    # the constraint as stated. Each row starts basic in a unit column, its
-    # slack or, on an equality, a fresh artificial, where its dual value is read.
+    # Tableau columns: struct | slack | rhs | artificial. Row k is constraint k
+    # times s_k, the lcm of its coefficient denominators, with a ">=" row
+    # negated; ``restate[k]``, that sign times s_k, maps its multiplier back to
+    # the constraint. Each row starts basic in a unit column, its slack or, on
+    # an equality, a fresh artificial, where its dual value is read.
     n_real = n_struct + sum(relation != "==" for _, relation, _ in lp.constraints)
     width = n_struct + m + 1
     tab, units, restate = [], [], []
     slacks, artificials = iter(range(n_struct, n_real)), iter(range(n_real + 1, width))
-    for (s, scaled, _), (_, relation, _), b in zip(scaled_rows, lp.constraints, bounds):
+    for (s, scaled, _), (_, relation, _) in zip(scaled_rows, lp.constraints):
         sign = -1 if relation == ">=" else 1
         unit = next(artificials if relation == "==" else slacks)
         row = [sign * v for v in scaled] + [0] * (width - n_struct)
-        row[n_real], row[unit] = sign * b, 1
+        row[unit] = 1
         tab.append(row)
         units.append(unit)
         restate.append(sign * s)
@@ -362,20 +346,27 @@ def _phase1(lp: LinearProgram) -> _Tableau | LPOutcome:
     if lp.sense != "feasibility":
         scaled = [c.numerator * (obj_scale // c.denominator) for c in minimize]
         tab.append([scaled[var] * sign for var, sign in cols] + [0] * (width - n_struct))
-
-    # Eliminating the artificials may leave basic values negative; a zero
-    # objective prices out at every basis, so the dual simplex repairs them.
     den = _drive_out(tab, basis, m, n_real)
-    return _dual_simplex(lp, _Tableau(tab, basis, den, units, restate, n_real, L, obj_scale), -1)
+    return _Tableau(tab, basis, den, units, restate, n_real, 1, obj_scale)
 
 
 def _dual_simplex(lp: LinearProgram, t: _Tableau, zi: int) -> _Tableau | LPOutcome:
-    """Pivot ``t``, whose basis prices out by row ``zi`` (-1: a zero
-    objective), to a feasible basis by the dual simplex: ``t`` there, or the
-    infeasible outcome. A nonzero value on a row whose artificial stayed
-    basic, or a row the dual simplex leaves negative with no negative entry,
-    is infeasible: its row of the inverse basis is the Farkas vector."""
-    tab, rhs = t.tab, t.n_real
+    """Enter ``lp``'s bounds into a copy of ``t``, whose basis prices out by
+    row ``zi`` (-1: a zero objective), and pivot to a feasible basis by the
+    dual simplex: the ``_Tableau`` there, or the infeasible outcome.
+
+    The tableau solves for x' = L x, bound k times s_k * L, an integer: L is
+    the lcm of the parts of the bounds' denominators that their s_k leave.
+    A nonzero value on a row whose artificial stayed basic, or a row the dual
+    simplex leaves negative with no negative entry, is infeasible: its row
+    of the inverse basis is the Farkas vector."""
+    rows = list(zip(t.units, t.restate, (b for _, _, b in lp.constraints)))
+    L = lcm(*(b.denominator // gcd(r, b.denominator) for _, r, b in rows))
+    scaled = [(u, b.numerator * (r * L // b.denominator)) for u, r, b in rows if b]
+    tab, rhs = [list(row) for row in t.tab], t.n_real
+    for row in tab:
+        row[rhs] = sum(row[u] * b for u, b in scaled)
+    t = t._replace(tab=tab, basis=list(t.basis), L=L)
     k = next((i for i, b in enumerate(t.basis) if b > rhs and tab[i][rhs]), -1)
     if k < 0:
         k, den = _run(tab, t.basis, t.den, zi, len(lp.constraints), rhs, True)
@@ -389,8 +380,9 @@ def _dual_simplex(lp: LinearProgram, t: _Tableau, zi: int) -> _Tableau | LPOutco
 
 def _solved(lp: LinearProgram) -> _Tableau | LPOutcome:
     """``lp``'s optimal tableau, or its infeasible or unbounded outcome: phase 1,
-    then, with an objective, phase 2, the primal simplex priced by its row."""
-    t = _phase1(lp)
+    the dual simplex from ``_eliminated`` under a zero objective, then, with an
+    objective, phase 2, the primal simplex priced by its row."""
+    t = _dual_simplex(lp, _eliminated(lp), -1)
     if isinstance(t, LPOutcome) or lp.sense == "feasibility":
         return t
     m = len(lp.constraints)
@@ -431,7 +423,8 @@ def _readout(lp: LinearProgram, t: _Tableau) -> LPOutcome:
 def compile_start(lp: LinearProgram) -> LinearProgram:
     """Cache on ``lp``, and return it, the start from which ``solve_warm``
     solves every program derived from ``lp``: ``lp``'s tableau at the basis
-    where ``solve`` ends on ``lp``'s own bounds.
+    where ``solve`` ends on ``lp``'s own bounds, whose rhs column each warm
+    solve writes anew.
     """
     t = _solved(lp)
     if isinstance(t, LPOutcome):
@@ -445,20 +438,15 @@ def solve_warm(lp: LinearProgram) -> LPOutcome:
     """Solve ``lp`` by the dual simplex from the start ``compile_start``
     cached on the program ``lp`` derives from.
 
-    The bounds enter the start's rhs column as one integer product with its
-    unit columns, ``den`` times the inverse basis. Certified as ``solve``'s
-    answers are, an optimum may be another optimal vertex than ``solve``'s.
+    The bounds enter the start as they enter phase 1 in ``solve``, in
+    ``_dual_simplex``. Certified as ``solve``'s answers are, an optimum may
+    be another optimal vertex than ``solve``'s.
     """
     t = lp.__dict__.get("_start")
     if t is None:
         raise LPConstructionError("lp derives from no program with a compiled start")
-    L, bounds = _scaled_bounds(lp)
-    scaled = [(u, b if r > 0 else -b) for u, r, b in zip(t.units, t.restate, bounds) if b]
-    tab = [list(row) for row in t.tab]
-    for row in tab:
-        row[t.n_real] = sum(row[u] * b for u, b in scaled)
     zi = len(lp.constraints) if lp.sense != "feasibility" else -1
-    return _certified(lp, _dual_simplex(lp, t._replace(tab=tab, basis=list(t.basis), L=L), zi))
+    return _certified(lp, _dual_simplex(lp, t, zi))
 
 
 def _common(values, what: str, scales=None) -> tuple[list[int], int]:

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -464,6 +468,23 @@ class TestDerive:
         path.write_text("{not json", encoding="utf-8")
         code, _, err = run_cli(["derive", str(path)])
         assert code == 2 and "JSON" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "derive"])
+def test_deeply_nested_document_exit_two(tmp_path, command):
+    # json.load gives up past about a thousand levels with RecursionError;
+    # the console script must report it as an input error, not crash
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "contextuality.cli", command, str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2 and not done.stdout
+    assert done.stderr.splitlines() == [f"error: {path} nests deeper than the JSON reader can follow"]
 
 
 class TestArgparseBehavior:

@@ -840,3 +840,76 @@ class TestPositiveDenominator:
             assert [[F(v, den) for v in row] for row in ours] == [
                 [F(v, ref_den) for v in row] for row in ref
             ]
+
+
+def _carried(lp, first, rhs, replay):
+    """``first``, a tableau before any pivot, with ``lp``'s bounds written
+    into its rhs column ``rhs`` as the scaled rows state them, then pivoted
+    along ``replay`` by ``_signed_bareiss``: ``(rows, den, L)``."""
+    scaled = []
+    for coeffs, relation, bound in lp.constraints:
+        s = lcm(*(F(c).denominator for c in coeffs))
+        scaled.append((-s if relation == ">=" else s) * bound)
+    L = lcm(*(v.denominator for v in scaled))
+    rows, den = [list(row) for row in first], 1
+    for row, v in zip(rows, scaled):
+        row[rhs] = int(v * L)
+    for r, s in replay:
+        rows, den = _signed_bareiss(rows, den, r, s)
+    return rows, den, L
+
+
+class TestOneEntryForBounds:
+    """The bounds enter a tableau in ``_dual_simplex`` alone, as one product
+    with its unit columns, and give the values that writing them into the
+    rows first and carrying them through the same pivots gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(bounded_programs(), template_programs()), st.data())
+    def test_entered_bounds_equal_carried_bounds(self, lp, data):
+        from contextuality import ratlp
+
+        m, n = len(lp.constraints), len(lp.variables)
+        other = lp.with_bounds(data.draw(st.lists(_bounds, min_size=m, max_size=m)))
+        # bounds a point attains, which every dependent row agrees with
+        point = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        reached = lp.with_bounds([sum(c * x for c, x in zip(a, point)) for a, _, _ in lp.constraints])
+        # every start below is pivoted from the same tableau, before elimination
+        firsts, pivots = [], []
+        drive_out, pivot = ratlp._drive_out, ratlp._pivot
+
+        def recording_drive_out(tab, *args):
+            firsts.append([list(row) for row in tab])
+            return drive_out(tab, *args)
+
+        def recording_pivot(tab, den, r, s):
+            pivots.append((r, s))
+            return pivot(tab, den, r, s)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ratlp, "_drive_out", recording_drive_out)
+            mp.setattr(ratlp, "_pivot", recording_pivot)
+            # phase 1's start, and optimal ones a warm solve could start from
+            starts = [(ratlp._eliminated(lp), list(pivots))]
+            for program in (lp, lp.with_bounds([0] * m)):
+                pivots.clear()
+                solved = ratlp._solved(program)
+                if not isinstance(solved, LPOutcome):
+                    starts.append((solved, list(pivots)))
+            # with no pivot, the dual simplex hands back the tableau it filled
+            mp.setattr(ratlp, "_run", lambda tab, basis, den, *args, **kwargs: (-1, den))
+            for t, replay in starts:
+                before, rhs = [list(row) for row in t.tab], t.n_real
+                for program in (lp, other, reached):
+                    rows, den, L = _carried(program, firsts[0], rhs, replay)
+                    entered = ratlp._dual_simplex(program, t, -1)
+                    values = [[F(v, den) for v in row] for row in rows]
+                    k = next((i for i, b in enumerate(t.basis) if b > rhs and rows[i][rhs]), -1)
+                    if k < 0:
+                        assert entered.L == L
+                        assert [[F(v, entered.den) for v in row] for row in entered.tab] == values
+                    else:
+                        sign = 1 if values[k][rhs] > 0 else -1
+                        expected = tuple(sign * values[k][u] * r for u, r in zip(t.units, t.restate))
+                        assert entered.farkas == expected
+                assert [list(row) for row in t.tab] == before

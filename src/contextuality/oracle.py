@@ -27,7 +27,7 @@ from typing import Sequence
 
 from . import cyclic
 from .core import OUTCOMES, System, as_fraction, max_signed_sum_odd
-from .ratlp import LinearProgram, LPOutcome, compile_start, solve_warm as solve
+from .ratlp import LinearProgram, LPOutcome, compile_start, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

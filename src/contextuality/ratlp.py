@@ -14,13 +14,14 @@ column: the scaled bounds times the unit columns, ``den`` times the inverse
 basis. The dual simplex then makes the basic values nonnegative from any
 basis that prices out, since reduced costs do not depend on the bounds.
 
-``solve``'s phase 1 is that dual simplex, under a zero objective, from the
-elimination basis, where Gaussian elimination has pivoted each equality's
-artificial out (``_eliminated``); phase 2 runs the primal simplex.
-``solve_warm`` enters the bounds of each program ``with_bounds`` derives
-from one template, which share its rows and their integer form, at the
-optimal basis ``compile_start`` fixes once, at the template's own bounds.
-Both find infeasibility in that one dual simplex.
+``solve`` picks its start from the program. ``compile_start`` caches on a
+template its optimal basis at its own bounds; the template, and each
+program ``with_bounds`` derives from it afterwards, sharing its rows and
+their integer form, enter their bounds there. Any other program, one
+derived before ``compile_start`` ran included, starts cold: phase 1 is that
+dual simplex, under a zero objective, from the basis where Gaussian
+elimination has pivoted each equality's artificial out (``_eliminated``),
+and phase 2 the primal simplex. Both find infeasibility in the dual simplex.
 
 Optimal solves carry a rational dual certificate, infeasible solves a Farkas
 certificate. Every answer is certified before it is returned: an optimum by
@@ -124,7 +125,7 @@ class LinearProgram:
         Everything else is shared with ``self``, unvalidated: the coefficient
         rows, already validated, their integer form, which is computed once
         for every program derived this way, and a start ``compile_start``
-        cached on ``self``.
+        cached on ``self`` before this call, from which ``solve`` then starts.
         """
         bounds = tuple(bounds)
         if len(bounds) != len(self.constraints):
@@ -205,25 +206,27 @@ def _pivot(tab: list[list[int]], den: int, r: int, s: int) -> int:
 
 
 def solve(lp: LinearProgram) -> LPOutcome:
-    """Solve ``lp`` exactly over the rationals: phase 1 by elimination and the
-    dual simplex, phase 2 by the primal simplex.
+    """Solve ``lp`` exactly over the rationals: by the dual simplex from its
+    start if it has one (``compile_start`` ran on it, or on the template
+    ``with_bounds`` derived it from, before that call), else cold, phase 1
+    by elimination and the dual simplex and phase 2 by the primal simplex.
+    The two may end at different optimal vertices.
 
-    Deterministic (see ``_run``): identical programs give identical outcomes.
-    Every optimal or infeasible outcome passes ``check_certificate`` before
-    it is returned; one that fails raises ``SolverError``.
+    Deterministic (see ``_run``): identical programs derived the same way
+    give identical outcomes. Every optimal or infeasible outcome passes
+    ``check_certificate`` before it is returned; one that fails raises
+    ``SolverError``.
     """
-    return _certified(lp, _solved(lp))
-
-
-def _certified(lp: LinearProgram, t: _Tableau | LPOutcome) -> LPOutcome:
-    """The outcome ``t`` is, or that ``_readout`` reads at it, once
-    ``check_certificate`` passes it; ``SolverError`` if not."""
+    start = lp.__dict__.get("_start")
+    if start is None:
+        t = _solved(lp)
+    else:
+        t = _dual_simplex(lp, start, len(lp.constraints) if lp.sense != "feasibility" else -1)
     outcome = t if isinstance(t, LPOutcome) else _readout(lp, t)
-    if outcome.status != "unbounded":
-        try:
-            check_certificate(lp, outcome)
-        except CertificateError as exc:
-            raise SolverError(f"{outcome.status} outcome fails its certificate: {exc}") from exc
+    try:
+        check_certificate(lp, outcome)
+    except CertificateError as exc:
+        raise SolverError(f"{outcome.status} outcome fails its certificate: {exc}") from exc
     return outcome
 
 
@@ -234,7 +237,8 @@ class _Tableau(NamedTuple):
     """A tableau at some basis: constraint rows, then the objective row (times
     ``obj_scale``) if any, each entry over ``den`` > 0. Column ``n_real`` is the
     rhs, a basic value its entry over ``den * L``, which ``_dual_simplex``
-    alone writes; ``units`` and ``restate`` are as built in ``_eliminated``."""
+    alone writes; ``units`` and ``restate`` are as built in ``_eliminated``.
+    ``compile_start`` caches one as a start for ``solve``."""
 
     tab: list[list[int]]
     basis: list[int]
@@ -421,10 +425,11 @@ def _readout(lp: LinearProgram, t: _Tableau) -> LPOutcome:
 
 
 def compile_start(lp: LinearProgram) -> LinearProgram:
-    """Cache on ``lp``, and return it, the start from which ``solve_warm``
-    solves every program derived from ``lp``: ``lp``'s tableau at the basis
-    where ``solve`` ends on ``lp``'s own bounds, whose rhs column each warm
-    solve writes anew.
+    """Cache on ``lp``, and return it, the start from which ``solve`` solves
+    ``lp`` and every program ``with_bounds`` derives from it afterwards:
+    ``lp``'s tableau at the basis where the cold solve ends on ``lp``'s own
+    bounds, whose rhs column each solve from it writes anew. Programs
+    derived before this call keep solving cold.
     """
     t = _solved(lp)
     if isinstance(t, LPOutcome):
@@ -432,21 +437,6 @@ def compile_start(lp: LinearProgram) -> LinearProgram:
         raise LPConstructionError(f"the bounds of a start must {need}")
     object.__setattr__(lp, "_start", t._replace(tab=tuple(map(tuple, t.tab)), basis=tuple(t.basis)))
     return lp
-
-
-def solve_warm(lp: LinearProgram) -> LPOutcome:
-    """Solve ``lp`` by the dual simplex from the start ``compile_start``
-    cached on the program ``lp`` derives from.
-
-    The bounds enter the start as they enter phase 1 in ``solve``, in
-    ``_dual_simplex``. Certified as ``solve``'s answers are, an optimum may
-    be another optimal vertex than ``solve``'s.
-    """
-    t = lp.__dict__.get("_start")
-    if t is None:
-        raise LPConstructionError("lp derives from no program with a compiled start")
-    zi = len(lp.constraints) if lp.sense != "feasibility" else -1
-    return _certified(lp, _dual_simplex(lp, t, zi))
 
 
 def _common(values, what: str, scales=None) -> tuple[list[int], int]:

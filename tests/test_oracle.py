@@ -241,8 +241,8 @@ class TestCertifiedAnswers:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        # oracle solves through its own name, the warm solver; ratlp.solve
-        # would count a solve from scratch if anything reached it
+        # oracle solves through its own name; ratlp.solve would count a
+        # second solve if anything reached it
         counted(oracle, "solve", "solve")
         counted(ratlp, "solve", "solve")
         counted(ratlp, "check_certificate", "check")
@@ -415,16 +415,16 @@ def _seeded_and_degenerate(kind, seed):
 
 
 class TestSharedPhaseOne:
-    """The extrema from each kind's "min" and "max" starts equal two
-    separate ``ratlp.solve`` calls."""
+    """The extrema from each kind's "min" and "max" starts equal two cold
+    ``ratlp.solve`` calls, on programs that carry no start."""
 
     @pytest.mark.parametrize("kind, seed", [("bell", 401), ("lg", 409)])
     def test_equal_to_two_solves(self, kind, seed):
-        # on degenerate systems the warm path may end at another optimal
-        # vertex than ``ratlp.solve``: the witness is checked, not compared
+        # on degenerate systems the solve from a start may end at another
+        # optimal vertex than a cold one: the witness is checked, not compared
         for i, sys in enumerate(_seeded_and_degenerate(kind, seed)):
             low = oracle._program(sys, "min")
-            lo = ratlp.solve(low)
+            lo = ratlp.solve(replace(low))
             hi = ratlp.solve(replace(low, sense="max"))
             assert repr(oracle.delta_extrema(sys)) == repr((lo.optimum, hi.optimum)), i
             result = oracle.report(sys, causal=False)
@@ -521,12 +521,12 @@ class TestWarmStart:
 
     def test_each_start_is_its_own_primal_end(self, fresh_templates):
         # at the template's own bounds the dual simplex makes no pivot, so a
-        # start read out there is ``solve``'s answer on the template
+        # start read out there is a cold solve's answer on the template
         for kind in ("bell", "lg"):
             for sense in ("min", "max", "feasibility"):
                 t = oracle._template(kind, sense)
                 own = t.with_bounds(bound for _, _, bound in t.constraints)
-                assert repr(ratlp.solve_warm(own)) == repr(ratlp.solve(t)), (kind, sense)
+                assert repr(ratlp.solve(own)) == repr(ratlp.solve(replace(t))), (kind, sense)
         # a temporal verdict solves only the feasibility program, and compiles
         # no other template for it
         oracle._template.cache_clear()

@@ -22,7 +22,6 @@ from contextuality.ratlp import (
     check_certificate,
     compile_start,
     solve,
-    solve_warm,
 )
 from helpers import atom_rows, brute_force_lp, reference_check_certificate
 
@@ -371,8 +370,10 @@ class TestAgainstBruteForce:
 @st.composite
 def template_programs(draw):
     """An oracle template (``bell`` or ``lg``, any sense) with nonnegative
-    bounds: either anything, which is mostly infeasible, or pairs of one
-    mass over mostly zero separator rows, which is mostly feasible."""
+    bounds: either anything, or pairs of one mass over mostly zero separator
+    rows. Both are nearly always infeasible, as the separator and mismatch
+    bounds are drawn apart from the pairs' cells; ``feasible_template_programs``
+    draws feasible ones."""
     from contextuality import oracle
     from contextuality.core import KINDS
 
@@ -390,6 +391,21 @@ def template_programs(draw):
     return template.with_bounds(bounds)
 
 
+@st.composite
+def feasible_template_programs(draw):
+    """An oracle template (``bell`` or ``lg``, any sense) at the bounds its
+    rows take at a drawn point with 0 to 3 in each cell: feasible by
+    construction, and bounded, as each cell lies in an observed row."""
+    from contextuality import oracle
+
+    kind = draw(st.sampled_from(("bell", "lg")))
+    template = oracle._template(kind, draw(st.sampled_from(("min", "max", "feasibility"))))
+    n = len(template.variables)
+    point = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    rows = (a for a, _, _ in template.constraints)
+    return template.with_bounds(sum(c * x for c, x in zip(a, point)) for a in rows)
+
+
 def _lg_feasibility(cells, masses=(1, 1, 1), mismatch=F(0)):
     """``lg``'s "feasibility" template at pairs with ``cells`` times each of
     ``masses``, zero separators and every mismatch ``mismatch``."""
@@ -402,15 +418,16 @@ def _lg_feasibility(cells, masses=(1, 1, 1), mismatch=F(0)):
 
 
 class TestSolveExtrema:
-    """Both extrema and every verdict of a compiled program come from the
-    warm dual simplex, and equal ``solve``'s."""
+    """``solve`` finds both extrema and every verdict of a program derived
+    from a compiled template by the dual simplex from the template's start,
+    and they equal a cold solve's, on a copy that carries no start."""
 
     @settings(max_examples=300, deadline=None)
-    @given(template_programs())
+    @given(st.one_of(template_programs(), feasible_template_programs()))
     def test_equals_solve_on_min_and_max(self, lp):
-        warm = solve_warm(lp)
+        warm = solve(lp)
         check_certificate(lp, warm)
-        primal = solve(lp)
+        primal = solve(replace(lp))
         assert (warm.status, warm.optimum) == (primal.status, primal.optimum)
 
     @settings(max_examples=200, deadline=None)
@@ -425,7 +442,7 @@ class TestSolveExtrema:
         compile_start(lp)
         m = len(lp.constraints)
         other = lp.with_bounds(data.draw(st.lists(_bounds, min_size=m, max_size=m)))
-        warm, primal = solve_warm(other), solve(other)
+        warm, primal = solve(other), solve(replace(other))
         check_certificate(other, warm)
         assert (warm.status, warm.optimum) == (primal.status, primal.optimum)
 
@@ -447,11 +464,11 @@ class TestSolveExtrema:
         # connections leave the dual simplex a negative row with no negative
         # entry.
         for lp in (_lg_feasibility(uniform, masses=(1, 1, 2)), _lg_feasibility(anti)):
-            out = solve_warm(lp)
+            out = solve(lp)
             assert out.status == "infeasible" and len(checks) == 1
-            assert solve(lp).status == "infeasible"
+            assert solve(replace(lp)).status == "infeasible"
             checks.clear()
-        assert solve_warm(_lg_feasibility(anti, mismatch=F(1))).status == "optimal"
+        assert solve(_lg_feasibility(anti, mismatch=F(1))).status == "optimal"
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_unbounded_in_one_direction(self, sign):
@@ -469,7 +486,7 @@ class TestSolveExtrema:
             compile_start(replace(lp, sense="max" if sign == 1 else "min"))
         for bounds in ((2, -1), (F(1, 3), F(-1, 2)), (0, 0), (-1, 0)):
             other = lp.with_bounds(bounds)
-            warm, primal = solve_warm(other), solve(other)
+            warm, primal = solve(other), solve(replace(other))
             assert (warm.status, warm.optimum) == (primal.status, primal.optimum)
 
     def test_max_is_certified_against_its_own_sense(self):
@@ -477,15 +494,12 @@ class TestSolveExtrema:
         from contextuality.generators import random_system
 
         high = oracle._program(random_system("bell", 7), "max")
-        out = solve_warm(high)
+        out = solve(high)
         check_certificate(high, out)
         with pytest.raises(CertificateError):
             check_certificate(replace(high, sense="min"), out)
 
     def test_requires_a_start(self):
-        lp = _mixed_program()
-        with pytest.raises(LPConstructionError, match="start"):
-            solve_warm(lp.with_bounds((0, 0, 0, 0)))
         # bounds that admit no point fix no start
         empty = LinearProgram(("x",), (((1,), "<=", -1),), sense="feasibility", nonneg=frozenset({"x"}))
         with pytest.raises(LPConstructionError, match="admit a point"):
@@ -523,6 +537,32 @@ class TestWithBounds:
         assert repr(solve(derived)) == repr(solve(fresh))
         # the template itself is left as it was
         assert lp == _mixed_program()
+
+    @pytest.mark.parametrize(
+        "bounds", [(4, F(-1, 7), F(5, 2), 0), ("1/3", 0, 2, F(-1, 10**6 + 3)), (-1, 9, 1, 1)]
+    )
+    def test_solve_starts_from_a_start_compiled_before_deriving(self, bounds, monkeypatch):
+        # only a program derived after ``compile_start`` skips the elimination
+        # tableau of a cold solve; all three reach one status and optimum
+        from contextuality import ratlp
+
+        template = _mixed_program()
+        before = template.with_bounds(bounds)
+        compile_start(template)
+        after = template.with_bounds(bounds)
+        built, eliminated = [], ratlp._eliminated
+
+        def counted(lp):
+            built.append(lp)
+            return eliminated(lp)
+
+        monkeypatch.setattr(ratlp, "_eliminated", counted)
+        outcomes = []
+        for program, tableaus in ((after, 0), (before, 1), (replace(before), 1)):
+            built.clear()
+            outcomes.append(solve(program))
+            assert len(built) == tableaus
+        assert len({(out.status, out.optimum) for out in outcomes}) == 1
 
     @pytest.mark.parametrize("kind", ["bell", "lg"])
     def test_polytope_template(self, kind):
@@ -752,7 +792,7 @@ class TestIntegerCertificates:
                         means = random_connection_means(sys, seed, True)
                         mismatches = [(1 - t) / 2 for t in means]
                     program = oracle._program(sys, sense, mismatches)
-                    solve_warm(program)
+                    solve(program)
                     assert program.__dict__["_compiled"] is compiled
 
     def test_checks_are_reached_through_module_globals(self, monkeypatch):
@@ -773,7 +813,7 @@ class TestIntegerCertificates:
         assert solve(_mixed_program()).status == "optimal"
         assert calls == ["check_certificate", "_check_witness"]
         calls.clear()
-        assert solve_warm(oracle._program(random_system("bell", 3), "min")).status == "optimal"
+        assert solve(oracle._program(random_system("bell", 3), "min")).status == "optimal"
         assert calls == ["check_certificate", "_check_witness"]
         calls.clear()
         assert solve(LinearProgram(("x",), (((1,), ">=", 1), ((1,), "<=", 0)))).status == "infeasible"
@@ -816,12 +856,12 @@ class TestPositiveDenominator:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ratlp, "_pivot", recording)
+            solve(replace(template))
             solve(template)
-            solve_warm(template)
             if solve(lp).status == "optimal":
                 compile_start(lp)
                 m = len(lp.constraints)
-                solve_warm(lp.with_bounds(data.draw(st.lists(_bounds, min_size=m, max_size=m))))
+                solve(lp.with_bounds(data.draw(st.lists(_bounds, min_size=m, max_size=m))))
         assert dens and all(den > 0 for den in dens)
 
     @settings(max_examples=300, deadline=None)

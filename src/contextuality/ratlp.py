@@ -14,14 +14,14 @@ column: the scaled bounds times the unit columns, ``den`` times the inverse
 basis. The dual simplex then makes the basic values nonnegative from any
 basis that prices out, since reduced costs do not depend on the bounds.
 
-``solve`` picks its start from the program. ``compile_start`` caches on a
-template its optimal basis at its own bounds; the template, and each
-program ``with_bounds`` derives from it afterwards, sharing its rows and
-their integer form, enter their bounds there. Any other program, one
-derived before ``compile_start`` ran included, starts cold: phase 1 is that
-dual simplex, under a zero objective, from the basis where Gaussian
-elimination has pivoted each equality's artificial out (``_eliminated``),
-and phase 2 the primal simplex. Both find infeasibility in the dual simplex.
+A program never changes once built: its ``_Form``, what its bounds do not
+change, is computed then and shared by ``with_bounds``; a tableau holds only
+what a solve changes. ``compile_start`` returns a program carrying a start,
+its optimal basis at its own bounds, where ``solve`` enters the bounds of it
+and of each program ``with_bounds`` derives from it. Any other program
+starts cold: phase 1 is that dual simplex under a zero objective from the
+Gaussian elimination basis (``_eliminated``), phase 2 the primal simplex.
+Warm or cold, infeasibility is found in the dual simplex.
 
 Optimal solves carry a rational dual certificate, infeasible solves a Farkas
 certificate. Every answer is certified before it is returned: an optimum by
@@ -118,14 +118,14 @@ class LinearProgram:
         object.__setattr__(self, "constraints", tuple(rows))
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "nonneg", nonneg)
+        object.__setattr__(self, "_form", _compile(self))
 
     def with_bounds(self, bounds) -> LinearProgram:
         """This program with the constraint bounds replaced by ``bounds``.
 
         Everything else is shared with ``self``, unvalidated: the coefficient
-        rows, already validated, their integer form, which is computed once
-        for every program derived this way, and a start ``compile_start``
-        cached on ``self`` before this call, from which ``solve`` then starts.
+        rows, already validated, their ``_Form``, and the start ``self``
+        carries if ``compile_start`` returned it or derived it this way.
         """
         bounds = tuple(bounds)
         if len(bounds) != len(self.constraints):
@@ -136,38 +136,60 @@ class LinearProgram:
             (coeffs, relation, as_fraction(bound))
             for (coeffs, relation, _), bound in zip(self.constraints, bounds)
         )
-        _compiled(self)
         program = object.__new__(LinearProgram)
         program.__dict__.update(self.__dict__, constraints=rows)
         return program
 
 
-def _compiled(lp: LinearProgram):
-    """``(cols, rows)``, the integer form of ``lp``'s coefficient rows.
+class _Form(NamedTuple):
+    """What a program's bounds do not change, built once in ``__post_init__``.
 
     ``cols`` lists the structural columns as ``(variable, sign)``: one per
-    nonnegative variable, a split pair per free one. Each row is
-    ``(s, scaled, nonzeros)``: ``s`` the lcm of the row's coefficient
-    denominators, ``scaled`` the row times ``s`` over the structural
-    columns, and ``nonzeros`` its ``(index, s * coefficient)`` integer pairs.
-    Cached on ``lp``, and shared by every program ``with_bounds`` derives.
-    """
-    compiled = lp.__dict__.get("_compiled")
-    if compiled is None:
-        cols = []
-        for j, name in enumerate(lp.variables):
-            cols.append((j, 1))
-            if name not in lp.nonneg:
-                cols.append((j, -1))
-        rows = []
-        for coeffs, _, _ in lp.constraints:
-            s = lcm(*(c.denominator for c in coeffs))
-            a = [c.numerator * (s // c.denominator) for c in coeffs]
-            nonzeros = tuple((j, c) for j, c in enumerate(a) if c)
-            rows.append((s, tuple(a[var] * sign for var, sign in cols), nonzeros))
-        compiled = (tuple(cols), tuple(rows))
-        object.__setattr__(lp, "_compiled", compiled)
-    return compiled
+    nonnegative variable, a split pair per free one. ``rows`` holds each
+    constraint's ``(s, nonzeros)``: s the lcm of its coefficient denominators,
+    nonzeros its ``(index, s * coefficient)`` integer pairs. ``tab`` is the
+    tableau before any pivot, columns struct | slack | rhs (``n_real``, zero)
+    | artificial, then the objective row (times ``obj_scale``) if any. Row k
+    is constraint k times ``restate[k]``, s with a ">=" row negated, which
+    maps its multiplier back; it starts basic in ``units[k]``, its slack or an
+    equality's artificial, where its multiplier is read."""
+
+    cols: tuple[tuple[int, int], ...]
+    rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    tab: tuple[tuple[int, ...], ...]
+    units: tuple[int, ...]
+    restate: tuple[int, ...]
+    n_real: int
+    obj_scale: int
+
+
+def _compile(lp: LinearProgram) -> _Form:
+    """``lp``'s ``_Form``."""
+    cols = []
+    for j, name in enumerate(lp.variables):
+        cols.append((j, 1))
+        if name not in lp.nonneg:
+            cols.append((j, -1))
+    n_struct, m = len(cols), len(lp.constraints)
+    n_real = n_struct + sum(relation != "==" for _, relation, _ in lp.constraints)
+    rows, tab, units, restate = [], [], [], []
+    slacks, artificials = iter(range(n_struct, n_real)), iter(range(n_real + 1, n_struct + m + 1))
+    for coeffs, relation, _ in lp.constraints:
+        s, sign = lcm(*(c.denominator for c in coeffs)), -1 if relation == ">=" else 1
+        a = [c.numerator * (s // c.denominator) for c in coeffs]
+        rows.append((s, tuple((j, c) for j, c in enumerate(a) if c)))
+        restate.append(sign * s)
+        units.append(next(artificials if relation == "==" else slacks))
+        row = [sign * a[var] * flip for var, flip in cols] + [0] * (m + 1)
+        row[units[-1]] = 1
+        tab.append(tuple(row))
+    # The objective row rides along through phase 1, which never prices by it.
+    minimize = [-c if lp.sense == "max" else c for c in lp.objective or ()]
+    obj_scale = lcm(*(c.denominator for c in minimize))
+    if lp.sense != "feasibility":
+        scaled = [c.numerator * (obj_scale // c.denominator) for c in minimize]
+        tab.append(tuple([scaled[var] * flip for var, flip in cols] + [0] * (m + 1)))
+    return _Form(*map(tuple, (cols, rows, tab, units, restate)), n_real, obj_scale)
 
 
 @dataclass(frozen=True)
@@ -207,10 +229,10 @@ def _pivot(tab: list[list[int]], den: int, r: int, s: int) -> int:
 
 def solve(lp: LinearProgram) -> LPOutcome:
     """Solve ``lp`` exactly over the rationals: by the dual simplex from its
-    start if it has one (``compile_start`` ran on it, or on the template
-    ``with_bounds`` derived it from, before that call), else cold, phase 1
-    by elimination and the dual simplex and phase 2 by the primal simplex.
-    The two may end at different optimal vertices.
+    start if it has one (``compile_start`` returned it, or ``with_bounds``
+    derived it from such a program), else cold, phase 1 by elimination and
+    the dual simplex and phase 2 by the primal simplex. The two may end at
+    different optimal vertices.
 
     Deterministic (see ``_run``): identical programs derived the same way
     give identical outcomes. Every optimal or infeasible outcome passes
@@ -230,24 +252,20 @@ def solve(lp: LinearProgram) -> LPOutcome:
     return outcome
 
 
+# Dantzig first: pure Bland took 23.4 / 5.98 dual pivots per Bell / LG case, not 13.5 / 3.46.
 _STALL_LIMIT = 12
 
 
 class _Tableau(NamedTuple):
-    """A tableau at some basis: constraint rows, then the objective row (times
-    ``obj_scale``) if any, each entry over ``den`` > 0. Column ``n_real`` is the
-    rhs, a basic value its entry over ``den * L``, which ``_dual_simplex``
-    alone writes; ``units`` and ``restate`` are as built in ``_eliminated``.
-    ``compile_start`` caches one as a start for ``solve``."""
+    """A solve's state over its program's ``_Form``: the tableau ``tab`` at
+    ``basis``, each entry over ``den`` > 0, a basic value its rhs entry over
+    ``den * L``, which ``_dual_simplex`` alone writes. The start
+    ``compile_start`` puts on a program is one."""
 
     tab: list[list[int]]
     basis: list[int]
     den: int
-    units: list[int]
-    restate: list[int]
-    n_real: int
     L: int
-    obj_scale: int
 
 
 def _run(
@@ -322,36 +340,8 @@ def _eliminated(lp: LinearProgram) -> _Tableau:
     """``lp``'s tableau, with a zero rhs column, at the basis where Gaussian
     elimination pivots each equality's artificial out. It depends only on the
     coefficient rows and the objective: the bounds enter in ``_dual_simplex``."""
-    cols, scaled_rows = _compiled(lp)
-    n_struct, m = len(cols), len(lp.constraints)
-
-    # Tableau columns: struct | slack | rhs | artificial. Row k is constraint k
-    # times s_k, the lcm of its coefficient denominators, with a ">=" row
-    # negated; ``restate[k]``, that sign times s_k, maps its multiplier back to
-    # the constraint. Each row starts basic in a unit column, its slack or, on
-    # an equality, a fresh artificial, where its dual value is read.
-    n_real = n_struct + sum(relation != "==" for _, relation, _ in lp.constraints)
-    width = n_struct + m + 1
-    tab, units, restate = [], [], []
-    slacks, artificials = iter(range(n_struct, n_real)), iter(range(n_real + 1, width))
-    for (s, scaled, _), (_, relation, _) in zip(scaled_rows, lp.constraints):
-        sign = -1 if relation == ">=" else 1
-        unit = next(artificials if relation == "==" else slacks)
-        row = [sign * v for v in scaled] + [0] * (width - n_struct)
-        row[unit] = 1
-        tab.append(row)
-        units.append(unit)
-        restate.append(sign * s)
-    basis = list(units)
-
-    # The objective row rides along through phase 1, which never prices by it.
-    minimize = [-c if lp.sense == "max" else c for c in lp.objective or ()]
-    obj_scale = lcm(*(c.denominator for c in minimize))
-    if lp.sense != "feasibility":
-        scaled = [c.numerator * (obj_scale // c.denominator) for c in minimize]
-        tab.append([scaled[var] * sign for var, sign in cols] + [0] * (width - n_struct))
-    den = _drive_out(tab, basis, m, n_real)
-    return _Tableau(tab, basis, den, units, restate, n_real, 1, obj_scale)
+    tab, basis = list(lp._form.tab), list(lp._form.units)
+    return _Tableau(tab, basis, _drive_out(tab, basis, len(basis), lp._form.n_real), 1)
 
 
 def _dual_simplex(lp: LinearProgram, t: _Tableau, zi: int) -> _Tableau | LPOutcome:
@@ -364,13 +354,14 @@ def _dual_simplex(lp: LinearProgram, t: _Tableau, zi: int) -> _Tableau | LPOutco
     A nonzero value on a row whose artificial stayed basic, or a row the dual
     simplex leaves negative with no negative entry, is infeasible: its row
     of the inverse basis is the Farkas vector."""
-    rows = list(zip(t.units, t.restate, (b for _, _, b in lp.constraints)))
+    units, restate, rhs = lp._form.units, lp._form.restate, lp._form.n_real
+    rows = list(zip(units, restate, (b for _, _, b in lp.constraints)))
     L = lcm(*(b.denominator // gcd(r, b.denominator) for _, r, b in rows))
     scaled = [(u, b.numerator * (r * L // b.denominator)) for u, r, b in rows if b]
-    tab, rhs = [list(row) for row in t.tab], t.n_real
+    tab = [list(row) for row in t.tab]
     for row in tab:
         row[rhs] = sum(row[u] * b for u, b in scaled)
-    t = t._replace(tab=tab, basis=list(t.basis), L=L)
+    t = _Tableau(tab, list(t.basis), t.den, L)
     k = next((i for i, b in enumerate(t.basis) if b > rhs and tab[i][rhs]), -1)
     if k < 0:
         k, den = _run(tab, t.basis, t.den, zi, len(lp.constraints), rhs, True)
@@ -378,7 +369,7 @@ def _dual_simplex(lp: LinearProgram, t: _Tableau, zi: int) -> _Tableau | LPOutco
         if k < 0:
             return t
     d = t.den if tab[k][rhs] > 0 else -t.den  # so that y . b > 0
-    farkas = tuple(Fraction(tab[k][u] * r, d) for u, r in zip(t.units, t.restate))
+    farkas = tuple(Fraction(tab[k][u] * r, d) for u, r in zip(units, restate))
     return LPOutcome(status="infeasible", farkas=farkas)
 
 
@@ -390,16 +381,16 @@ def _solved(lp: LinearProgram) -> _Tableau | LPOutcome:
     if isinstance(t, LPOutcome) or lp.sense == "feasibility":
         return t
     m = len(lp.constraints)
-    k, den = _run(t.tab, t.basis, t.den, m, m, t.n_real)
+    k, den = _run(t.tab, t.basis, t.den, m, m, lp._form.n_real)
     return LPOutcome(status="unbounded") if k >= 0 else t._replace(den=den)
 
 
 def _readout(lp: LinearProgram, t: _Tableau) -> LPOutcome:
     """The optimal outcome at tableau ``t``, whose basis is feasible and
     prices out: the witness, and with an objective its value and dual."""
-    cols, _ = _compiled(lp)
-    m = len(lp.constraints)
-    tab, basis, den, rhs, L = t.tab, t.basis, t.den, t.n_real, t.L
+    form, m = lp._form, len(lp.constraints)
+    tab, basis, den, L = t
+    cols, rhs = form.cols, form.n_real
 
     # Extract the witness in original variable space (x = x' / L), over den * L.
     values = [0] * len(lp.variables)
@@ -415,28 +406,30 @@ def _readout(lp: LinearProgram, t: _Tableau) -> LPOutcome:
     # The objective row holds minus the objective (times L) and minus the
     # duals, both times den * obj_scale; "max" minimized the negation.
     sign = 1 if lp.sense == "max" else -1
-    scale = den * t.obj_scale
+    scale = den * form.obj_scale
     return LPOutcome(
         status="optimal",
         optimum=Fraction(sign * tab[m][rhs], scale * L),
         witness=witness,
-        dual=tuple(Fraction(sign * tab[m][u] * r, scale) for u, r in zip(t.units, t.restate)),
+        dual=tuple(Fraction(sign * tab[m][u] * r, scale) for u, r in zip(form.units, form.restate)),
     )
 
 
 def compile_start(lp: LinearProgram) -> LinearProgram:
-    """Cache on ``lp``, and return it, the start from which ``solve`` solves
-    ``lp`` and every program ``with_bounds`` derives from it afterwards:
+    """A program equal to ``lp``, sharing its ``_Form``, that carries a start:
     ``lp``'s tableau at the basis where the cold solve ends on ``lp``'s own
-    bounds, whose rhs column each solve from it writes anew. Programs
-    derived before this call keep solving cold.
+    bounds, whose rhs column each solve from it writes anew. ``solve`` starts
+    there on it and on every program ``with_bounds`` derives from it; ``lp``
+    itself is left as it was.
     """
     t = _solved(lp)
     if isinstance(t, LPOutcome):
         need = "admit a point" if t.status == "infeasible" else "bound the objective"
         raise LPConstructionError(f"the bounds of a start must {need}")
-    object.__setattr__(lp, "_start", t._replace(tab=tuple(map(tuple, t.tab)), basis=tuple(t.basis)))
-    return lp
+    start = t._replace(tab=tuple(map(tuple, t.tab)), basis=tuple(t.basis))
+    program = object.__new__(LinearProgram)
+    program.__dict__.update(lp.__dict__, _start=start)
+    return program
 
 
 def _common(values, what: str, scales=None) -> tuple[list[int], int]:
@@ -457,8 +450,7 @@ def _check_witness(lp: LinearProgram, witness: dict[str, Fraction]) -> tuple[lis
     for name in lp.variables:
         if name in lp.nonneg and witness[name].numerator < 0:
             raise CertificateError(f"witness violates {name} >= 0")
-    _, rows = _compiled(lp)
-    for k, ((s, _, nonzeros), (_, relation, bound)) in enumerate(zip(rows, lp.constraints)):
+    for k, ((s, nonzeros), (_, relation, bound)) in enumerate(zip(lp._form.rows, lp.constraints)):
         total = sum(c * values[j] for j, c in nonzeros)  # the row's value times s * d
         if not _COMPARE[relation](total * bound.denominator, bound.numerator * s * d):
             value = Fraction(total, s * d)
@@ -482,11 +474,11 @@ def _check_multipliers(
     """
     if y is None or len(y) != len(lp.constraints):
         raise CertificateError("missing or mis-sized multipliers")
-    _, rows = _compiled(lp)
-    multipliers, d = _common(y, "multiplier vector", [s for s, _, _ in rows])
+    rows = lp._form.rows
+    multipliers, d = _common(y, "multiplier vector", [s for s, _ in rows])
     combo = [0] * len(lp.variables)
     total, scale = 0, lcm(*(bound.denominator for _, _, bound in lp.constraints))
-    for k, (yk, (s, _, nonzeros), (_, relation, bound)) in enumerate(
+    for k, (yk, (s, nonzeros), (_, relation, bound)) in enumerate(
         zip(multipliers, rows, lp.constraints)
     ):
         if relation == "<=" and sign * yk > 0 or relation == ">=" and sign * yk < 0:

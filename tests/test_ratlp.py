@@ -439,9 +439,8 @@ class TestSolveExtrema:
             with pytest.raises(LPConstructionError):
                 compile_start(lp)
             return
-        compile_start(lp)
         m = len(lp.constraints)
-        other = lp.with_bounds(data.draw(st.lists(_bounds, min_size=m, max_size=m)))
+        other = compile_start(lp).with_bounds(data.draw(st.lists(_bounds, min_size=m, max_size=m)))
         warm, primal = solve(other), solve(replace(other))
         check_certificate(other, warm)
         assert (warm.status, warm.optimum) == (primal.status, primal.optimum)
@@ -481,11 +480,11 @@ class TestSolveExtrema:
             sense="min" if sign == 1 else "max",
             nonneg=frozenset({"x"}),
         )
-        compile_start(lp)
+        started = compile_start(lp)
         with pytest.raises(LPConstructionError, match="bound the objective"):
             compile_start(replace(lp, sense="max" if sign == 1 else "min"))
         for bounds in ((2, -1), (F(1, 3), F(-1, 2)), (0, 0), (-1, 0)):
-            other = lp.with_bounds(bounds)
+            other = started.with_bounds(bounds)
             warm, primal = solve(other), solve(replace(other))
             assert (warm.status, warm.optimum) == (primal.status, primal.optimum)
 
@@ -542,14 +541,17 @@ class TestWithBounds:
         "bounds", [(4, F(-1, 7), F(5, 2), 0), ("1/3", 0, 2, F(-1, 10**6 + 3)), (-1, 9, 1, 1)]
     )
     def test_solve_starts_from_a_start_compiled_before_deriving(self, bounds, monkeypatch):
-        # only a program derived after ``compile_start`` skips the elimination
-        # tableau of a cold solve; all three reach one status and optimum
+        # only the program ``compile_start`` returns, and those derived from
+        # it, skip the elimination tableau of a cold solve; the template it
+        # started from, programs derived from that before or after the call,
+        # and copies build one; all at the same bounds reach one optimum
         from contextuality import ratlp
 
         template = _mixed_program()
         before = template.with_bounds(bounds)
-        compile_start(template)
+        started = compile_start(template)
         after = template.with_bounds(bounds)
+        derived = started.with_bounds(bounds)
         built, eliminated = [], ratlp._eliminated
 
         def counted(lp):
@@ -557,12 +559,16 @@ class TestWithBounds:
             return eliminated(lp)
 
         monkeypatch.setattr(ratlp, "_eliminated", counted)
-        outcomes = []
-        for program, tableaus in ((after, 0), (before, 1), (replace(before), 1)):
+        reached = {}
+        for program, tableaus in (
+            (started, 0), (derived, 0),
+            (template, 1), (before, 1), (after, 1), (replace(derived), 1),
+        ):
             built.clear()
-            outcomes.append(solve(program))
+            out = solve(program)
             assert len(built) == tableaus
-        assert len({(out.status, out.optimum) for out in outcomes}) == 1
+            reached.setdefault(program.constraints, set()).add((out.status, out.optimum))
+        assert all(len(outcomes) == 1 for outcomes in reached.values())
 
     @pytest.mark.parametrize("kind", ["bell", "lg"])
     def test_polytope_template(self, kind):
@@ -596,6 +602,37 @@ class TestWithBounds:
             LinearProgram(lp.variables, (((1, 0, 0), "<=", bad),))
         with pytest.raises(built.type):
             lp.with_bounds((0, bad, 0, 0))
+
+
+def _leaves_as_it_was(call, lp, *args):
+    """``call(lp, *args)``, asserting that it leaves ``lp.__dict__`` with the
+    same keys bound to the same objects."""
+    before = dict(lp.__dict__)
+    result = call(lp, *args)
+    assert lp.__dict__.keys() == before.keys()
+    assert all(lp.__dict__[key] is value for key, value in before.items())
+    return result
+
+
+class TestProgramIsAValue:
+    def test_calls_leave_their_program_as_it_was(self):
+        # a started, derived program also solves alike after a pickle round
+        # trip, from its start, as parallel workers receive it
+        import pickle
+
+        from contextuality import oracle, ratlp
+
+        for lp in (_mixed_program(), oracle._template("bell", "min")):
+            bounds = [b for _, _, b in lp.constraints]
+            for program in (lp, _leaves_as_it_was(compile_start, lp)):
+                _leaves_as_it_was(check_certificate, program, _leaves_as_it_was(solve, program))
+                derived = _leaves_as_it_was(LinearProgram.with_bounds, program, bounds)
+                _leaves_as_it_was(solve, derived)
+            copy = pickle.loads(pickle.dumps(derived))
+            built, eliminated = [], ratlp._eliminated
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ratlp, "_eliminated", lambda lp: built.append(lp) or eliminated(lp))
+                assert repr(solve(copy)) == repr(solve(derived)) and not built
 
 
 def _message(check, lp, outcome):
@@ -772,19 +809,18 @@ class TestIntegerCertificates:
         check_certificate(lp, replace(out, witness={"x": 3}, optimum=3, dual=(1,)))
 
     def test_derived_programs_share_the_integer_rows(self):
-        from contextuality import oracle, ratlp
+        from contextuality import oracle
         from contextuality.generators import random_connection_means, random_system
 
         lp = _mixed_program()
-        cols, rows = ratlp._compiled(lp)
-        for (coeffs, _, _), (s, _, nonzeros) in zip(lp.constraints, rows):
+        for (coeffs, _, _), (s, nonzeros) in zip(lp.constraints, lp._form.rows):
             assert s == lcm(*(c.denominator for c in coeffs))
             assert nonzeros == tuple((j, int(s * c)) for j, c in enumerate(coeffs) if c)
             assert all(type(c) is int for _, c in nonzeros)
-        assert lp.with_bounds((0, 0, 0, 0)).__dict__["_compiled"] is ratlp._compiled(lp)
+        assert lp.with_bounds((0, 0, 0, 0))._form is lp._form
         for kind in ("bell", "lg"):
             for sense in ("min", "max", "feasibility"):
-                compiled = oracle._template(kind, sense).__dict__["_compiled"]
+                form = oracle._template(kind, sense)._form
                 for seed in range(3):
                     sys = random_system(kind, seed)
                     mismatches = ()
@@ -793,7 +829,7 @@ class TestIntegerCertificates:
                         mismatches = [(1 - t) / 2 for t in means]
                     program = oracle._program(sys, sense, mismatches)
                     solve(program)
-                    assert program.__dict__["_compiled"] is compiled
+                    assert program._form is form
 
     def test_checks_are_reached_through_module_globals(self, monkeypatch):
         # counting wrappers on the module attributes see every check, as
@@ -859,9 +895,9 @@ class TestPositiveDenominator:
             solve(replace(template))
             solve(template)
             if solve(lp).status == "optimal":
-                compile_start(lp)
                 m = len(lp.constraints)
-                solve(lp.with_bounds(data.draw(st.lists(_bounds, min_size=m, max_size=m))))
+                bounds = data.draw(st.lists(_bounds, min_size=m, max_size=m))
+                solve(compile_start(lp).with_bounds(bounds))
         assert dens and all(den > 0 for den in dens)
 
     @settings(max_examples=300, deadline=None)
@@ -939,7 +975,7 @@ class TestOneEntryForBounds:
             # with no pivot, the dual simplex hands back the tableau it filled
             mp.setattr(ratlp, "_run", lambda tab, basis, den, *args, **kwargs: (-1, den))
             for t, replay in starts:
-                before, rhs = [list(row) for row in t.tab], t.n_real
+                before, rhs = [list(row) for row in t.tab], lp._form.n_real
                 for program in (lp, other, reached):
                     rows, den, L = _carried(program, firsts[0], rhs, replay)
                     entered = ratlp._dual_simplex(program, t, -1)
@@ -950,6 +986,7 @@ class TestOneEntryForBounds:
                         assert [[F(v, entered.den) for v in row] for row in entered.tab] == values
                     else:
                         sign = 1 if values[k][rhs] > 0 else -1
-                        expected = tuple(sign * values[k][u] * r for u, r in zip(t.units, t.restate))
+                        units = zip(lp._form.units, lp._form.restate)
+                        expected = tuple(sign * values[k][u] * r for u, r in units)
                         assert entered.farkas == expected
                 assert [list(row) for row in t.tab] == before

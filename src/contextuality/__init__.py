@@ -2,11 +2,11 @@
 
 Two system layouts are supported: Bell-type (two parties, two binary settings
 each, four observed pair distributions) and temporal Leggett-Garg-type (three
-time points, three observed pair distributions), the cyclic systems of rank
-4 and 3 whose closed forms ``cyclic`` writes once. Everything is computed in
-exact rational arithmetic; each closed-form quantity has an independent LP
-oracle over the full joint-distribution polytope and, for the mismatch
-interval, a third Fourier-Motzkin projection route.
+time points, three observed pair distributions), the cyclic systems of rank 4
+and 3, whose closed forms ``cyclic`` writes once and ``bell`` and ``lg`` only
+name. Everything is computed in exact rational arithmetic; each closed-form
+quantity has an independent LP oracle over the full joint-distribution polytope
+and, for the mismatch interval, a third Fourier-Motzkin projection route.
 """
 
 from . import bell, cyclic, fme, generators, lg, oracle, ratlp, verify

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional
 
-from . import bell, cyclic, fme, oracle
+from . import cyclic, fme, oracle
 from .core import (
     KINDS,
     CausalityViolationError,
@@ -159,9 +159,7 @@ def _fmt(value: Fraction, decimals: Optional[int] = None) -> str:
 
 
 def _analysis_payload(system, causal: bool, with_oracle: bool, decimals):
-    if causal:
-        cyclic.check_causal(system)
-    report = cyclic.analyze(system)
+    report = cyclic.analyze(system, causal)
     fmt = lambda v: _fmt(v, decimals)
     payload = {
         "kind": system.KIND,
@@ -294,7 +292,7 @@ def cmd_sweep(args) -> int:
                 except FrechetViolationError:
                     writer.writerow(row + [""] * (len(header) - 3) + ["1"])
                     continue
-                report = bell.analyze(system)
+                report = cyclic.analyze(system)
                 row += [_fmt(report.delta0), _fmt(report.statistic), _fmt(report.degree)]
                 if args.oracle:
                     row.append(_fmt(oracle.degree(system)))
@@ -371,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep a parametric family to CSV")
     p_sweep.add_argument("--family", choices=("pr-signaling",), default="pr-signaling")
-    p_sweep.add_argument("--delta", required=True, metavar="A:B:STEP")
-    p_sweep.add_argument("--epsilon", required=True, metavar="A:B:STEP")
+    for name in ("delta", "epsilon"):
+        p_sweep.add_argument(f"--{name}", required=True, metavar="A:B:STEP",
+                             help=f"a negative start needs the = form: --{name}=-1/2:1/2:1/8")
     p_sweep.add_argument("--oracle", action="store_true",
                          help="add the LP-oracle degree column")
     p_sweep.add_argument("--out", required=True, help="output CSV path")

@@ -34,6 +34,11 @@ it. At n = 3 the criterion is the two-sided temporal bound
 Only the ranks 3 and 4 are constructed, and there the LP oracle (a chordal
 coupling LP, exact on the whole coupling polytope) confirms these forms; for
 n >= 5 they are a conjecture.
+
+With ``causal=True`` (default False), ``minimal_connections``, ``delta0``,
+``is_noncontextual``, ``degree`` and ``analyze`` first run ``check_causal``, a
+no-op for Bell-type systems; ``bell`` and ``lg`` only name these functions,
+and ``lg`` defaults to ``causal=True``.
 """
 
 from __future__ import annotations
@@ -74,6 +79,12 @@ def check_causal(sys: System) -> None:
             )
 
 
+def _checked(sys: System, causal: bool) -> System:
+    if causal:
+        check_causal(sys)
+    return sys
+
+
 class ConnectionVector(tuple):
     """Per-connection mismatch probabilities Pr[X != X'] in canonical order."""
 
@@ -84,18 +95,19 @@ class ConnectionVector(tuple):
         return sum(self, _ZERO)
 
 
-def minimal_connections(sys: System) -> ConnectionVector:
+def minimal_connections(sys: System, causal: bool = False) -> ConnectionVector:
     """Smallest mismatch probability each connection's marginals allow.
 
     For a connection (X, X') this is |Pr[X=1] - Pr[X'=1]| = |<X> - <X'>| / 2,
     attained by stacking as much mass as possible on the diagonal.
     """
-    return ConnectionVector(abs(m1 - m2) * _HALF for m1, m2 in connection_marginal_pairs(sys))
+    marginals = connection_marginal_pairs(_checked(sys, causal))
+    return ConnectionVector(abs(m1 - m2) * _HALF for m1, m2 in marginals)
 
 
-def delta0(sys: System) -> Fraction:
+def delta0(sys: System, causal: bool = False) -> Fraction:
     """Total connection mismatch forced by the marginals alone."""
-    return minimal_connections(sys).total()
+    return minimal_connections(sys, causal).total()
 
 
 def statistic(sys: System) -> Fraction:
@@ -140,18 +152,18 @@ def _interval(s: dict[str, Fraction]) -> tuple[Fraction, Fraction]:
     )
 
 
-def is_noncontextual(sys: System) -> bool:
+def is_noncontextual(sys: System, causal: bool = False) -> bool:
     """Signaling-adjusted criterion: s_odd <= n - 2 + 2 delta0."""
-    return slacks(sys)["criterion"] >= 0
+    return slacks(_checked(sys, causal))["criterion"] >= 0
 
 
-def degree(sys: System) -> Fraction:
+def degree(sys: System, causal: bool = False) -> Fraction:
     """Degree of contextuality: max(0, s_odd/2 - (n-2)/2 - delta0).
 
     Equals max(0, delta_min - delta0): the mismatch mass any joint
     distribution needs beyond what signaling already forces.
     """
-    return _degree(slacks(sys))
+    return _degree(slacks(_checked(sys, causal)))
 
 
 def delta_interval(sys: System) -> tuple[Fraction, Fraction]:
@@ -182,8 +194,8 @@ class Report:
     classic_satisfied: bool
 
 
-def analyze(sys: System) -> Report:
-    s = slacks(sys)
+def analyze(sys: System, causal: bool = False) -> Report:
+    s = slacks(_checked(sys, causal))
     lo, hi = _interval(s)
     return Report(
         delta0=s["lower_from_signaling"],

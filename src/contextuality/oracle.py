@@ -251,14 +251,12 @@ def delta_extrema(sys: System) -> tuple[Fraction, Fraction]:
 def degree(sys: System, causal: bool = True) -> Fraction:
     """Definitional degree max(0, delta_min - delta0), delta_min by LP.
 
-    Solves only the "min" program. ``causal`` only affects layouts with a
-    time order (temporal systems), matching the closed-form treatment of the
-    first connection.
+    Solves only the "min" program; ``delta0`` reads ``causal`` as
+    ``cyclic.delta0`` does.
     """
-    if causal:
-        cyclic.check_causal(sys)
+    d0 = cyclic.delta0(sys, causal)
     lo = _optimal(solve(_program(sys, "min")), "min")
-    return max(_ZERO, lo.optimum - cyclic.delta0(sys))
+    return max(_ZERO, lo.optimum - d0)
 
 
 @dataclass(frozen=True)
@@ -274,10 +272,8 @@ class OracleResult:
 def report(sys: System, causal: bool = True) -> OracleResult:
     """Run the full oracle: mismatch extrema, compatibility at the minimal
     connection vector, and the joint-distribution witness of the minimum."""
-    if causal:
-        cyclic.check_causal(sys)
+    c0 = cyclic.minimal_connections(sys, causal)
     lo, hi = _extrema(sys)
-    c0 = cyclic.minimal_connections(sys)
     return OracleResult(
         delta_min=lo.optimum,
         delta_max=hi.optimum,

@@ -35,7 +35,7 @@ class TestMinimalConnections:
 
     def test_first_component_from_alice_marginals(self):
         sys = bell_from_expectations((F(3, 5), F(1, 5), 0, 0), ZEROS, ZEROS)
-        assert bell.minimal_connections(sys).c_a1 == F(1, 5)
+        assert bell.minimal_connections(sys)[0] == F(1, 5)
 
     def test_matches_per_connection_lp_minimum(self):
         # independent derivation: minimize Pr[X != X'] over 2x2 distributions
@@ -190,3 +190,13 @@ class TestReport:
         assert report.delta_min <= report.delta_max
         assert report.signaling
         assert not report.classic_satisfied
+
+    @pytest.mark.parametrize(
+        "name", ["minimal_connections", "delta0", "is_noncontextual", "degree", "analyze"]
+    )
+    def test_causal_changes_nothing(self, name):
+        # a Bell-type system pins no connection, signaling or not
+        fn = getattr(bell, name)
+        systems = random_systems(20, 83) + [pr_signaling_family(1, F(1, 5))]
+        for i, sys in enumerate(systems):
+            assert fn(sys, causal=True) == fn(sys, causal=False), i

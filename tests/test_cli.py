@@ -316,6 +316,20 @@ class TestSweep:
         assert rows[0]["degree_oracle"] == "1"
         assert rows[1]["degree_oracle"] == "9/10"  # 2*1 - 1 - 1/10
 
+    def test_negative_epsilon_range_in_equals_form(self, tmp_path):
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run_cli([
+            "sweep", "--delta", "0:1:1/2", "--epsilon=-1/2:1/2:1/4", "--out", str(out_path),
+        ])
+        assert code == 0, err
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
+        assert len(rows) == 15
+        computed = [r for r in rows if r["skipped"] == "0"]
+        assert any(F(r["epsilon"]) < 0 for r in computed)
+        for r in computed:
+            system = pr_signaling_family(F(r["delta"]), F(r["epsilon"]))
+            assert F(r["degree_closed"]) == cyclic.degree(system), r
+
     def test_infeasible_points_marked_skipped(self, tmp_path):
         out_path = tmp_path / "sweep.csv"
         code, _, _ = run_cli([

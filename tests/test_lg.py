@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from contextuality import lg, oracle
+from contextuality import cyclic, lg, oracle
 from contextuality.core import CausalityViolationError, max_signed_sum_odd
 from contextuality.generators import (
     deterministic_lg,
@@ -14,6 +15,8 @@ from helpers import lg_from_expectations
 
 F = Fraction
 ZEROS = (0, 0, 0)
+# the five closed forms that read the time-ordered flag
+FLAGGED = ("minimal_connections", "delta0", "is_noncontextual", "degree", "analyze")
 
 
 def all_zero_system():
@@ -22,6 +25,28 @@ def all_zero_system():
 
 def random_systems(count, seed, constraint="none"):
     return [random_system("lg", split_seed(seed, i), constraint) for i in range(count)]
+
+
+def causal_systems(count, seed):
+    """Valid temporal systems with <Q_12> = <Q_13> and arbitrary other
+    marginals, each product drawn between its two Frechet bounds."""
+    rng = random.Random(seed)
+    eighths = lambda: F(rng.randint(-8, 8), 8)
+    systems = []
+    for _ in range(count):
+        q12, q21, q23, q31, q32 = (eighths() for _ in range(5))
+        first, second = (q12, q12, q23), (q21, q31, q32)
+        products = []
+        for x, y in zip(first, second):
+            lo, hi = -1 + abs(x + y), 1 - abs(x - y)
+            products.append(lo + (hi - lo) * F(rng.randint(0, 4), 4))
+        systems.append(lg_from_expectations(first, second, products))
+    return systems
+
+
+def causality_violating_system():
+    # <Q_12> = 1/2 != <Q_13> = 0
+    return lg_from_expectations((F(1, 2), 0, 0), ZEROS, ZEROS)
 
 
 class TestMinimalConnections:
@@ -35,7 +60,7 @@ class TestMinimalConnections:
 
     def test_generalized_first_component(self):
         sys = lg_from_expectations((F(1, 2), 0, 0), ZEROS, ZEROS)
-        assert lg.minimal_connections(sys, causal=False).c_1 == F(1, 4)
+        assert lg.minimal_connections(sys, causal=False)[0] == F(1, 4)
 
     def test_causal_violation_raises(self):
         sys = lg_from_expectations((F(1, 2), 0, 0), ZEROS, ZEROS)
@@ -180,7 +205,6 @@ class TestReport:
         report = lg.analyze(lg_anticorrelated())
         assert report.degree == max(F(0), report.delta_min - report.delta0)
         assert not report.noncontextual
-        assert report.causal
         assert report.statistic == max_signed_sum_odd((-1, -1, -1))
 
     def test_causal_flag_threaded(self):
@@ -189,3 +213,28 @@ class TestReport:
             lg.analyze(sys, causal=True)
         report = lg.analyze(sys, causal=False)
         assert report.delta0 == F(1, 4)
+
+    @pytest.mark.parametrize("name", FLAGGED)
+    def test_cyclic_causal_raises_on_unequal_first_marginals(self, name):
+        sys = causality_violating_system()
+        with pytest.raises(CausalityViolationError):
+            getattr(cyclic, name)(sys, causal=True)
+        getattr(cyclic, name)(sys)  # the generalized reading is cyclic's default
+
+    @pytest.mark.parametrize("name", FLAGGED)
+    def test_cyclic_causal_changes_nothing_on_valid_systems(self, name):
+        systems = causal_systems(30, 71) + random_systems(10, 73, "no_signaling")
+        assert any(cyclic.delta0(sys) for sys in systems)  # some of them signal
+        fn = getattr(cyclic, name)
+        for i, sys in enumerate(systems):
+            assert fn(sys, causal=True) == fn(sys, causal=False), i
+
+    @pytest.mark.parametrize("name", FLAGGED)
+    def test_defaults_stay_time_ordered(self, name):
+        fn, closed = getattr(lg, name), getattr(cyclic, name)
+        sys = causality_violating_system()
+        with pytest.raises(CausalityViolationError):
+            fn(sys)
+        assert fn(sys, False) == closed(sys)
+        valid = causal_systems(1, 79)[0]
+        assert fn(valid) == closed(valid, causal=True)

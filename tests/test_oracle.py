@@ -7,7 +7,7 @@ from operator import add
 import pytest
 
 from contextuality import bell, cyclic, lg, oracle, ratlp
-from contextuality.core import KINDS, PairDistribution, BellSystem, validate
+from contextuality.core import KINDS, PairDistribution, BellSystem, CausalityViolationError, validate
 from contextuality.generators import (
     DENOMINATOR_BOUND,
     deterministic_bell,
@@ -224,6 +224,18 @@ class TestOracleReport:
     def test_feasibility_flag_tracks_criterion(self):
         assert not oracle.report(pr_signaling_family(1, 0)).feasible_at_c0
         assert oracle.report(pr_signaling_family(F(1, 4), 0)).feasible_at_c0
+
+    def test_causal_violation_raises_before_solving(self, monkeypatch):
+        sys = KINDS["lg"](
+            PairDistribution.from_expectations(F(1, 2), 0, 0),
+            *(PairDistribution.from_expectations(0, 0, 0),) * 2,
+        )
+        solved = []
+        monkeypatch.setattr(oracle, "solve", lambda program: solved.append(program))
+        for route in (oracle.report, oracle.degree):
+            with pytest.raises(CausalityViolationError):
+                route(sys)
+        assert not solved
 
 
 class TestCertifiedAnswers:

@@ -176,7 +176,7 @@ def _analysis_payload(system, causal: bool, with_oracle: bool, decimals):
             "signaling": report.signaling,
             "classic_inequality_satisfied": report.classic_satisfied,
         },
-        "slacks": {name: fmt(v) for name, v in cyclic.slacks(system).items()},
+        "slacks": {name: fmt(v) for name, v in report.slacks.items()},
     }
     if system.CAUSAL:
         payload["causal"] = causal

@@ -23,6 +23,10 @@ expectations:
   min(3n/2 - 1 - s_p/2, n - sum over connections of |<X> + <X'>|/2)];
 - classic (no-signaling) bound: s_odd <= n - 2.
 
+``analyze`` computes all four in one pass into a ``Report`` that the other
+functions read; ``Report.slacks`` gives each as the inequality it enters.
+``connections_compatible`` decides fully specified connections in closed form.
+
 The statistic-driven upper bound uses parity p odd for even n and even for
 odd n. The all-minus sign pattern on the n connection terms has the parity
 of n, so the product terms complete the odd total with the other parity.
@@ -43,10 +47,12 @@ and ``lg`` defaults to ``causal=True``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
-from .core import CausalityViolationError, System, _max_signed_sum, max_signed_sum_odd
+from .core import CausalityViolationError, System, as_fraction
+from .core import _max_signed_sum, max_signed_sum_odd
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -69,20 +75,13 @@ def check_causal(sys: System) -> None:
     The outcome at the first time point cannot depend on when the later
     measurement happens; such a connection then forces no mismatch.
     """
-    marginals = connection_marginal_pairs(sys)
     for k in sys.CAUSAL:
-        m1, m2 = marginals[k]
+        m1, m2 = map(sys.mean, sys.CONNECTIONS[k])
         if m1 != m2:
             raise CausalityViolationError(
                 f"time-ordered treatment needs equal marginals on connection {k + 1}, "
                 f"got {m1} != {m2}"
             )
-
-
-def _checked(sys: System, causal: bool) -> System:
-    if causal:
-        check_causal(sys)
-    return sys
 
 
 class ConnectionVector(tuple):
@@ -101,8 +100,9 @@ def minimal_connections(sys: System, causal: bool = False) -> ConnectionVector:
     For a connection (X, X') this is |Pr[X=1] - Pr[X'=1]| = |<X> - <X'>| / 2,
     attained by stacking as much mass as possible on the diagonal.
     """
-    marginals = connection_marginal_pairs(_checked(sys, causal))
-    return ConnectionVector(abs(m1 - m2) * _HALF for m1, m2 in marginals)
+    if causal:
+        check_causal(sys)
+    return ConnectionVector(abs(m1 - m2) * _HALF for m1, m2 in connection_marginal_pairs(sys))
 
 
 def delta0(sys: System, causal: bool = False) -> Fraction:
@@ -116,45 +116,13 @@ def statistic(sys: System) -> Fraction:
 
 
 def slacks(sys: System) -> dict[str, Fraction]:
-    """Every closed form of the system, as the inequality it enters.
-
-    ``criterion`` (n - 2 + 2 delta0 - s_odd) and ``classic_inequality``
-    (n - 2 - s_odd) are nonnegative exactly when their bound holds. The
-    mismatch interval runs from the larger of ``lower_from_statistic`` and
-    ``lower_from_signaling`` to the smaller of ``upper_from_statistic`` and
-    ``upper_from_marginals``.
-    """
-    n = len(sys.CONNECTIONS)  # the rank: observed pairs and connections alike
-    prods = sys.product_means()
-    s_odd = max_signed_sum_odd(prods)
-    d0 = delta0(sys)
-    s_p = _max_signed_sum(prods, (n + 1) % 2)
-    sums = sum((abs(m1 + m2) for m1, m2 in connection_marginal_pairs(sys)), _ZERO)
-    return {
-        "criterion": n - 2 + 2 * d0 - s_odd,
-        "classic_inequality": n - 2 - s_odd,
-        "lower_from_statistic": s_odd * _HALF - Fraction(n - 2, 2),
-        "lower_from_signaling": d0,
-        "upper_from_statistic": Fraction(3 * n, 2) - 1 - s_p * _HALF,
-        "upper_from_marginals": n - sums * _HALF,
-    }
-
-
-def _degree(s: dict[str, Fraction]) -> Fraction:
-    # s_odd/2 - (n-2)/2 - delta0 is minus half the criterion slack
-    return max(_ZERO, -s["criterion"] * _HALF)
-
-
-def _interval(s: dict[str, Fraction]) -> tuple[Fraction, Fraction]:
-    return (
-        max(s["lower_from_signaling"], s["lower_from_statistic"]),
-        min(s["upper_from_statistic"], s["upper_from_marginals"]),
-    )
+    """``analyze(sys).slacks``: every closed form, as the inequality it enters."""
+    return analyze(sys).slacks
 
 
 def is_noncontextual(sys: System, causal: bool = False) -> bool:
     """Signaling-adjusted criterion: s_odd <= n - 2 + 2 delta0."""
-    return slacks(_checked(sys, causal))["criterion"] >= 0
+    return analyze(sys, causal).noncontextual
 
 
 def degree(sys: System, causal: bool = False) -> Fraction:
@@ -163,12 +131,13 @@ def degree(sys: System, causal: bool = False) -> Fraction:
     Equals max(0, delta_min - delta0): the mismatch mass any joint
     distribution needs beyond what signaling already forces.
     """
-    return _degree(slacks(_checked(sys, causal)))
+    return analyze(sys, causal).degree
 
 
 def delta_interval(sys: System) -> tuple[Fraction, Fraction]:
     """Exact range of total connection mismatch over all compatible joints."""
-    return _interval(slacks(sys))
+    report = analyze(sys)
+    return (report.delta_min, report.delta_max)
 
 
 def classic_checks(sys: System) -> tuple[bool, bool]:
@@ -177,12 +146,17 @@ def classic_checks(sys: System) -> tuple[bool, bool]:
     The two verdicts are logically independent; the signaling-adjusted
     criterion reduces to their conjunction exactly when no-signaling holds.
     """
-    return (is_no_signaling(sys), slacks(sys)["classic_inequality"] >= 0)
+    report = analyze(sys)
+    return (not report.signaling, report.classic_satisfied)
 
 
 @dataclass(frozen=True)
 class Report:
-    """Full closed-form verdict for one system."""
+    """Full closed-form verdict for one system. ``slacks`` gives each closed
+    form as the inequality it enters: ``criterion`` (n - 2 + 2 delta0 - s_odd)
+    and ``classic_inequality`` (n - 2 - s_odd) are nonnegative exactly when
+    their bound holds; the interval runs from the larger ``lower_from_*`` to
+    the smaller ``upper_from_*``."""
 
     delta0: Fraction
     statistic: Fraction
@@ -192,18 +166,50 @@ class Report:
     noncontextual: bool
     signaling: bool
     classic_satisfied: bool
+    slacks: dict[str, Fraction] = field(hash=False)  # a dict: hash the rest
 
 
 def analyze(sys: System, causal: bool = False) -> Report:
-    s = slacks(_checked(sys, causal))
-    lo, hi = _interval(s)
+    """Every closed form of ``sys``, from one read of its products and marginals."""
+    if causal:
+        check_causal(sys)
+    n = len(sys.CONNECTIONS)  # the rank: observed pairs and connections alike
+    marginals = connection_marginal_pairs(sys)
+    prods = sys.product_means()
+    s_odd, s_p = max_signed_sum_odd(prods), _max_signed_sum(prods, (n + 1) % 2)
+    d0 = sum((abs(m1 - m2) for m1, m2 in marginals), _ZERO) * _HALF
+    sums = sum((abs(m1 + m2) for m1, m2 in marginals), _ZERO)
+    s = {
+        "criterion": n - 2 + 2 * d0 - s_odd,
+        "classic_inequality": n - 2 - s_odd,
+        "lower_from_statistic": s_odd * _HALF - Fraction(n - 2, 2),
+        "lower_from_signaling": d0,
+        "upper_from_statistic": Fraction(3 * n, 2) - 1 - s_p * _HALF,
+        "upper_from_marginals": n - sums * _HALF,
+    }
     return Report(
-        delta0=s["lower_from_signaling"],
-        statistic=statistic(sys),
-        delta_min=lo,
-        delta_max=hi,
-        degree=_degree(s),
+        delta0=d0,
+        statistic=s_odd,
+        delta_min=max(d0, s["lower_from_statistic"]),
+        delta_max=min(s["upper_from_statistic"], s["upper_from_marginals"]),
+        # s_odd/2 - (n-2)/2 - delta0 is minus half the criterion slack
+        degree=max(_ZERO, -s["criterion"] * _HALF),
         noncontextual=s["criterion"] >= 0,
-        signaling=not is_no_signaling(sys),
+        signaling=any(m1 != m2 for m1, m2 in marginals),
         classic_satisfied=s["classic_inequality"] >= 0,
+        slacks=s,
     )
+
+
+def connections_compatible(sys: System, connection_means: Sequence) -> bool:
+    """Whether connections with the product expectations ``connection_means``
+    (<X X'> per connection, in canonical order) fit the observed pairs: each
+    <X X'> in [|<X> + <X'>| - 1, 1 - |<X> - <X'>|], where no cell of its table
+    is negative, and s_odd(products, connection terms) <= 2n - 2."""
+    means = tuple(as_fraction(c) for c in connection_means)
+    marginals = connection_marginal_pairs(sys)
+    if len(means) != len(marginals):
+        raise ValueError(f"expected {len(marginals)} connection values, got {len(means)}")
+    return all(
+        abs(m1 + m2) - 1 <= t <= 1 - abs(m1 - m2) for (m1, m2), t in zip(marginals, means)
+    ) and max_signed_sum_odd(sys.product_means() + means) <= 2 * len(means) - 2

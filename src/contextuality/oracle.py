@@ -15,6 +15,8 @@ that is 36 rows by 48 cells in place of 16 rows over all 2^(2n) = 256 atoms,
 the outcome assignments of the 2n variables. Feasibility and extremization
 are decided by exact LP, independently of any closed-form shortcut; the
 closed forms are tested against this module, never the other way around.
+``compatibility_verdicts`` pairs its LP verdict with
+``cyclic.connections_compatible``, the closed form's, for that comparison.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import product
 from typing import Sequence
 
 from . import cyclic
-from .core import OUTCOMES, System, as_fraction, max_signed_sum_odd
+from .core import OUTCOMES, System, as_fraction
 from .ratlp import LinearProgram, LPOutcome, compile_start, solve
 
 _ZERO = Fraction(0)
@@ -252,7 +254,7 @@ def degree(sys: System, causal: bool = True) -> Fraction:
     """Definitional degree max(0, delta_min - delta0), delta_min by LP.
 
     Solves only the "min" program; ``delta0`` reads ``causal`` as
-    ``cyclic.delta0`` does.
+    ``cyclic.delta0`` does, but ``causal`` defaults to True here, not False.
     """
     d0 = cyclic.delta0(sys, causal)
     lo = _optimal(solve(_program(sys, "min")), "min")
@@ -271,7 +273,8 @@ class OracleResult:
 
 def report(sys: System, causal: bool = True) -> OracleResult:
     """Run the full oracle: mismatch extrema, compatibility at the minimal
-    connection vector, and the joint-distribution witness of the minimum."""
+    connection vector, and the joint-distribution witness of the minimum.
+    ``causal`` (default True, unlike ``cyclic``'s False) reads as there."""
     c0 = cyclic.minimal_connections(sys, causal)
     lo, hi = _extrema(sys)
     return OracleResult(
@@ -282,28 +285,16 @@ def report(sys: System, causal: bool = True) -> OracleResult:
     )
 
 
-def compatibility_verdicts(
-    sys: System, connection_means: Sequence
-) -> tuple[bool, bool]:
+def compatibility_verdicts(sys: System, connection_means: Sequence) -> tuple[bool, bool]:
     """Decide two ways whether fully specified connections fit the observed pairs.
 
-    ``connection_means`` gives the product expectation <X X'> of each
-    connection in canonical order. Returns (closed-form verdict, LP verdict):
-    the closed form combines the parity-maximum inequalities with the cell
-    nonnegativity bounds on each connection; the LP is ``compatible`` at the
-    mismatches (1 - <X X'>)/2, since a connection's four cells lie in the span
-    of the observed rows and its mismatch row. The two must agree on every input.
+    ``connection_means`` gives <X X'> per connection in canonical order.
+    Returns (``cyclic.connections_compatible``, LP verdict), the latter
+    ``compatible`` at the mismatches (1 - <X X'>)/2, since a connection's four
+    cells lie in the span of the observed rows and its mismatch row. The two
+    must agree on every input.
     """
     means = [as_fraction(c) for c in connection_means]
     # a negative implied cell (as from any |<X X'>| > 1) leaves no q >= 0
     by_lp = _fits(sys, [(1 - t) / 2 for t in means])
-
-    marg = cyclic.connection_marginal_pairs(sys)
-    frechet_ok = all(
-        -1 + abs(m1 + m2) <= t <= 1 - abs(m1 - m2)
-        for (m1, m2), t in zip(marg, means)
-    )
-    # one odd-parity condition over the n products and the n connection terms
-    bound = 2 * len(marg) - 2
-    closed = frechet_ok and max_signed_sum_odd(sys.product_means() + tuple(means)) <= bound
-    return (closed, by_lp)
+    return (cyclic.connections_compatible(sys, means), by_lp)

@@ -28,7 +28,8 @@ certificate. Every answer is certified before it is returned: an optimum by
 its witness (checked against every constraint) and its dual (strong
 duality), an infeasibility by its Farkas vector. The checks compare
 integers: each vector goes over one common denominator taken from its own
-entries, never from the tableau, so they stay independent of the pivoting.
+entries, and each row's integers are built from the constraints apart from
+the tableau, so they stay independent of the pivoting and of the compiling.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class LinearProgram:
         if len(set(variables)) != len(variables):
             raise LPConstructionError("duplicate variable names")
         n = len(variables)
-        rows = []
+        rows, integer_rows = [], []
         for k, item in enumerate(self.constraints):
             try:
                 coeffs, relation, bound = item
@@ -96,6 +97,9 @@ class LinearProgram:
             if relation not in _COMPARE:
                 raise LPConstructionError(f"constraint {k}: unknown relation {relation!r}")
             rows.append((coeffs, relation, as_fraction(bound)))
+            s = lcm(*(c.denominator for c in coeffs))
+            nonzeros = ((j, c.numerator * (s // c.denominator)) for j, c in enumerate(coeffs) if c)
+            integer_rows.append((s, tuple(nonzeros)))
         if self.sense not in _SENSES:
             raise LPConstructionError(f"unknown sense {self.sense!r}")
         objective = self.objective
@@ -118,14 +122,17 @@ class LinearProgram:
         object.__setattr__(self, "constraints", tuple(rows))
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "nonneg", nonneg)
+        # The certificate checks' rows, built apart from the tableau they check:
+        # (s, nonzeros), s the lcm of the denominators, nonzeros (j, s * coeff).
+        object.__setattr__(self, "_integer_rows", tuple(integer_rows))
         object.__setattr__(self, "_form", _compile(self))
 
     def with_bounds(self, bounds) -> LinearProgram:
         """This program with the constraint bounds replaced by ``bounds``.
 
-        Everything else is shared with ``self``, unvalidated: the coefficient
-        rows, already validated, their ``_Form``, and the start ``self``
-        carries if ``compile_start`` returned it or derived it this way.
+        Everything else is shared with ``self``, unvalidated: the validated
+        coefficient rows, their integer rows and ``_Form``, and the start
+        ``self`` carries if ``compile_start`` returned it or derived it this way.
         """
         bounds = tuple(bounds)
         if len(bounds) != len(self.constraints):
@@ -145,17 +152,14 @@ class _Form(NamedTuple):
     """What a program's bounds do not change, built once in ``__post_init__``.
 
     ``cols`` lists the structural columns as ``(variable, sign)``: one per
-    nonnegative variable, a split pair per free one. ``rows`` holds each
-    constraint's ``(s, nonzeros)``: s the lcm of its coefficient denominators,
-    nonzeros its ``(index, s * coefficient)`` integer pairs. ``tab`` is the
-    tableau before any pivot, columns struct | slack | rhs (``n_real``, zero)
-    | artificial, then the objective row (times ``obj_scale``) if any. Row k
-    is constraint k times ``restate[k]``, s with a ">=" row negated, which
-    maps its multiplier back; it starts basic in ``units[k]``, its slack or an
-    equality's artificial, where its multiplier is read."""
+    nonnegative variable, a split pair per free one. ``tab`` is the tableau
+    before any pivot, columns struct | slack | rhs (``n_real``, zero) |
+    artificial, then the objective row (times ``obj_scale``) if any. Row k is
+    constraint k times ``restate[k]``, the lcm of its denominators negated on
+    a ">=" row, which maps its multiplier back; it starts basic in ``units[k]``,
+    its slack or an equality's artificial, where its multiplier is read."""
 
     cols: tuple[tuple[int, int], ...]
-    rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
     tab: tuple[tuple[int, ...], ...]
     units: tuple[int, ...]
     restate: tuple[int, ...]
@@ -172,12 +176,11 @@ def _compile(lp: LinearProgram) -> _Form:
             cols.append((j, -1))
     n_struct, m = len(cols), len(lp.constraints)
     n_real = n_struct + sum(relation != "==" for _, relation, _ in lp.constraints)
-    rows, tab, units, restate = [], [], [], []
+    tab, units, restate = [], [], []
     slacks, artificials = iter(range(n_struct, n_real)), iter(range(n_real + 1, n_struct + m + 1))
     for coeffs, relation, _ in lp.constraints:
         s, sign = lcm(*(c.denominator for c in coeffs)), -1 if relation == ">=" else 1
         a = [c.numerator * (s // c.denominator) for c in coeffs]
-        rows.append((s, tuple((j, c) for j, c in enumerate(a) if c)))
         restate.append(sign * s)
         units.append(next(artificials if relation == "==" else slacks))
         row = [sign * a[var] * flip for var, flip in cols] + [0] * (m + 1)
@@ -189,7 +192,7 @@ def _compile(lp: LinearProgram) -> _Form:
     if lp.sense != "feasibility":
         scaled = [c.numerator * (obj_scale // c.denominator) for c in minimize]
         tab.append(tuple([scaled[var] * flip for var, flip in cols] + [0] * (m + 1)))
-    return _Form(*map(tuple, (cols, rows, tab, units, restate)), n_real, obj_scale)
+    return _Form(*map(tuple, (cols, tab, units, restate)), n_real, obj_scale)
 
 
 @dataclass(frozen=True)
@@ -450,7 +453,7 @@ def _check_witness(lp: LinearProgram, witness: dict[str, Fraction]) -> tuple[lis
     for name in lp.variables:
         if name in lp.nonneg and witness[name].numerator < 0:
             raise CertificateError(f"witness violates {name} >= 0")
-    for k, ((s, nonzeros), (_, relation, bound)) in enumerate(zip(lp._form.rows, lp.constraints)):
+    for k, ((s, nonzeros), (_, relation, bound)) in enumerate(zip(lp._integer_rows, lp.constraints)):
         total = sum(c * values[j] for j, c in nonzeros)  # the row's value times s * d
         if not _COMPARE[relation](total * bound.denominator, bound.numerator * s * d):
             value = Fraction(total, s * d)
@@ -474,7 +477,7 @@ def _check_multipliers(
     """
     if y is None or len(y) != len(lp.constraints):
         raise CertificateError("missing or mis-sized multipliers")
-    rows = lp._form.rows
+    rows = lp._integer_rows
     multipliers, d = _common(y, "multiplier vector", [s for s, _ in rows])
     combo = [0] * len(lp.variables)
     total, scale = 0, lcm(*(bound.denominator for _, _, bound in lp.constraints))

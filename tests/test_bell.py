@@ -1,8 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from contextuality import bell, oracle
+from contextuality import bell, cyclic, oracle
 from contextuality.core import max_signed_sum_odd
 from contextuality.generators import (
     deterministic_bell,
@@ -190,6 +191,32 @@ class TestReport:
         assert report.delta_min <= report.delta_max
         assert report.signaling
         assert not report.classic_satisfied
+
+    def test_one_pass_over_the_system(self, monkeypatch):
+        # one analyze reads the products and the connection marginals once
+        # and takes each signed-sum maximum once
+        sys = pr_signaling_family(1, F(1, 5))
+        calls = Counter()
+
+        def count(owner, name):
+            inner = getattr(owner, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in ("connection_marginal_pairs", "max_signed_sum_odd", "_max_signed_sum"):
+            count(cyclic, name)
+        count(type(sys), "product_means")
+        report = bell.analyze(sys)
+        assert calls == dict.fromkeys(
+            ("connection_marginal_pairs", "product_means", "max_signed_sum_odd", "_max_signed_sum"), 1
+        )
+        monkeypatch.undo()
+        assert report.slacks == cyclic.slacks(sys)
+        assert (report.delta_min, report.delta_max) == bell.delta_interval(sys)
 
     @pytest.mark.parametrize(
         "name", ["minimal_connections", "delta0", "is_noncontextual", "degree", "analyze"]

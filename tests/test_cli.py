@@ -42,6 +42,25 @@ def bell_doc(xy, last_xy=None, representation="expectations"):
 
 PR_DOC = bell_doc("1", "-1")
 ZERO_DOC = bell_doc("0")
+# The signaling Bell document of the CI's console-script step.
+SIGNALING_DOC = {
+    "kind": "bell",
+    "representation": "expectations",
+    "pairs": {
+        "11": {"x": "1/3", "y": "0", "xy": "1/2"},
+        "12": {"x": "1/4", "y": "1/4", "xy": "1/2"},
+        "21": {"x": "0", "y": "0", "xy": "1/2"},
+        "22": {"x": "0", "y": "1/4", "xy": "-1/2"},
+    },
+}
+SLACK_NAMES = (
+    "criterion",
+    "classic_inequality",
+    "lower_from_statistic",
+    "lower_from_signaling",
+    "upper_from_statistic",
+    "upper_from_marginals",
+)
 LG_ANTI_DOC = {
     "kind": "lg",
     "representation": "expectations",
@@ -238,6 +257,32 @@ class TestAnalyze:
         for section in ("values", "slacks"):
             assert rounded[section] == {k: str(round(F(v))) for k, v in exact[section].items()}
         assert rounded["values"]["delta_max"] == "3" and rounded["slacks"]["lower_from_statistic"] == "-1"
+
+    @pytest.mark.parametrize(
+        "doc, slacks",
+        [
+            (PR_DOC, ("-2", "-2", "1", "0", "3", "4")),
+            (SIGNALING_DOC, ("1/12", "0", "0", "1/24", "4", "83/24")),
+        ],
+    )
+    def test_slacks_section(self, doc, slacks, tmp_path):
+        _, out, _ = run_cli(["analyze", write_doc(tmp_path, "doc.json", doc), "--format", "json"])
+        assert list(json.loads(out)["slacks"].items()) == list(zip(SLACK_NAMES, slacks))
+
+    @pytest.mark.parametrize("doc", [PR_DOC, LG_ANTI_DOC])
+    def test_evaluates_the_closed_form_once(self, doc, tmp_path, monkeypatch):
+        calls = []
+        for name in ("analyze", "slacks", "connection_marginal_pairs", "max_signed_sum_odd"):
+            inner = getattr(cyclic, name)
+
+            def counting(*args, inner=inner, name=name):
+                calls.append(name)
+                return inner(*args)
+
+            monkeypatch.setattr(cyclic, name, counting)
+        code, out, _ = run_cli(["analyze", write_doc(tmp_path, "doc.json", doc), "--format", "json"])
+        assert code == 1 and json.loads(out)["values"]["degree"] == "1"
+        assert calls == ["analyze", "connection_marginal_pairs", "max_signed_sum_odd"]
 
     def test_text_output_names_the_causal_treatment(self, tmp_path):
         path = write_doc(tmp_path, "lg.json", LG_ANTI_DOC)

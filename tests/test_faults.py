@@ -5,16 +5,19 @@ global that a route is built from, the way a wrong edit to the library
 would, and records which ``verify.verify_kind`` checks fire on six seeded
 systems. Caches built from the patched global are cleared before the fault
 goes in and after it comes out, so no other test sees a faulty template.
+A fault in how ``ratlp`` compiles a row must be refused by the certificate
+checks themselves, with no second route needed.
 """
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable
 
 import pytest
 
-from contextuality import cyclic, fme, oracle, verify
+from contextuality import cyclic, fme, oracle, ratlp, verify
 from contextuality.core import max_signed_sum_even
-from contextuality.generators import pr_signaling_family
+from contextuality.generators import pr_signaling_family, random_system, split_seed
 
 SAMPLES, SEED = 6, 0
 
@@ -52,6 +55,8 @@ class Fault:
 
 FAULTS = [
     Fault(
+        # it reaches cyclic.connections_compatible too, whose verdicts these
+        # six systems leave right: connection_verdicts does not fire
         "cyclic_odd_parity",
         cyclic, "max_signed_sum_odd", lambda odd: max_signed_sum_even, (),
         "bell", frozenset({"degree", "interval", "criterion_vs_polytope"}),
@@ -109,3 +114,39 @@ def test_bell_upper_bound_parity_shows_on_the_pr_box(monkeypatch):
         lambda values, parity: signed_sum(values, 1 - parity if len(values) == 4 else parity),
     )
     assert cyclic.delta_interval(pr_box) == (1, 4)
+
+
+def test_compiled_row_fault_is_refused_by_the_certificate(monkeypatch):
+    # _compile builds the tableau from constraint 5 without its last nonzero
+    # coefficient. The certificate checks read integer rows that
+    # LinearProgram builds apart from the tableau, so every wrong extremum
+    # raises SolverError instead of coming back.
+    compile_ = ratlp._compile
+
+    def wrong(lp):
+        coeffs, relation, bound = lp.constraints[5]
+        j = max(j for j, c in enumerate(coeffs) if c)
+        row = (coeffs[:j] + (Fraction(0),) + coeffs[j + 1 :], relation, bound)
+        faulty = object.__new__(type(lp))
+        rows = (*lp.constraints[:5], row, *lp.constraints[6:])
+        faulty.__dict__.update(lp.__dict__, constraints=rows)
+        return compile_(faulty)
+
+    constraints = ("no_signaling", "none", "signaling_only")
+    systems = [random_system("bell", split_seed(101, i), constraints[i % 3]) for i in range(40)]
+    refused = 0
+    try:
+        with monkeypatch.context() as patch:
+            oracle._template.cache_clear()
+            patch.setattr(ratlp, "_compile", wrong)
+            for i, sys in enumerate(systems):
+                try:
+                    assert oracle.delta_extrema(sys) == cyclic.delta_interval(sys), i
+                except ratlp.SolverError:
+                    refused += 1
+    finally:
+        oracle._template.cache_clear()
+    assert refused  # the fault went in
+    assert [oracle.delta_extrema(sys) for sys in systems[:3]] == [
+        cyclic.delta_interval(sys) for sys in systems[:3]
+    ]

@@ -146,6 +146,11 @@ class TestCompatibilityVerdicts:
     def test_lg_anticorrelated_identity_connections(self):
         assert oracle.compatibility_verdicts(lg_anticorrelated(), (1, 1, 1)) == (False, False)
 
+    def test_closed_form_wrong_arity(self):
+        # zip would drop the fourth Bell connection without the length check
+        with pytest.raises(ValueError):
+            cyclic.connections_compatible(deterministic_bell(1, 1), (1, 1, 1))
+
     @pytest.mark.parametrize("kind, seed", [("bell", 83), ("lg", 89)])
     def test_random_agreement(self, kind, seed):
         both = {True: 0, False: 0}

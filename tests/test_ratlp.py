@@ -813,14 +813,15 @@ class TestIntegerCertificates:
         from contextuality.generators import random_connection_means, random_system
 
         lp = _mixed_program()
-        for (coeffs, _, _), (s, nonzeros) in zip(lp.constraints, lp._form.rows):
+        for (coeffs, _, _), (s, nonzeros) in zip(lp.constraints, lp._integer_rows):
             assert s == lcm(*(c.denominator for c in coeffs))
             assert nonzeros == tuple((j, int(s * c)) for j, c in enumerate(coeffs) if c)
             assert all(type(c) is int for _, c in nonzeros)
-        assert lp.with_bounds((0, 0, 0, 0))._form is lp._form
+        derived = lp.with_bounds((0, 0, 0, 0))
+        assert derived._form is lp._form and derived._integer_rows is lp._integer_rows
         for kind in ("bell", "lg"):
             for sense in ("min", "max", "feasibility"):
-                form = oracle._template(kind, sense)._form
+                template = oracle._template(kind, sense)
                 for seed in range(3):
                     sys = random_system(kind, seed)
                     mismatches = ()
@@ -829,7 +830,8 @@ class TestIntegerCertificates:
                         mismatches = [(1 - t) / 2 for t in means]
                     program = oracle._program(sys, sense, mismatches)
                     solve(program)
-                    assert program._form is form
+                    assert program._form is template._form
+                    assert program._integer_rows is template._integer_rows
 
     def test_checks_are_reached_through_module_globals(self, monkeypatch):
         # counting wrappers on the module attributes see every check, as

@@ -2,7 +2,7 @@
 oracle (``oracle``) and the projection (``fme``) import none of each other's
 machinery, so that each one cross-checks the others. The closed forms and
 the time-ordered reading have one home, ``cyclic``: ``bell`` and ``lg`` only
-name its functions."""
+name its functions, and the oracle computes no signed-sum maximum."""
 
 import ast
 from pathlib import Path
@@ -53,6 +53,14 @@ MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
 def test_kind_modules_are_names_over_cyclic(module):
     # bell and lg only name cyclic's closed forms for their kind
     assert _imported(module) & MODULES <= {"cyclic", "core"}
+
+
+def test_oracle_keeps_no_closed_form():
+    # the closed half of compatibility_verdicts is cyclic.connections_compatible
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    used = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
+    maxima = {"max_signed_sum_odd", "max_signed_sum_even", "_max_signed_sum"}
+    assert not (_imported("oracle") | used) & maxima
 
 
 def test_bell_names_are_cyclic_functions():
